@@ -218,12 +218,21 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     values: dict[str, object] = {}
     manifest_path = getattr(args, "from_manifest", None)
     if manifest_path:
-        manifest = json.loads(Path(manifest_path).read_text())
-        for key, v in manifest.get("config", {}).items():
+        try:
+            manifest = json.loads(Path(manifest_path).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ConfigError(f"cannot read manifest {manifest_path}: {e}") from None
+        config = manifest.get("config", {}) if isinstance(manifest, dict) else None
+        if not isinstance(config, dict):
+            raise ConfigError(f"manifest {manifest_path} has no config object")
+        for key, v in config.items():
             if v is not None and any(f.name == key for f in fields(PipelineConfig)):
                 values[key] = _coerce(key, v)
     if getattr(args, "config", None):
-        raw = parse_config_text(Path(args.config).read_text())
+        try:
+            raw = parse_config_text(Path(args.config).read_text())
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         for key, v in raw.items():
             if not any(f.name == key for f in fields(PipelineConfig)):
                 raise ConfigError(f"unknown config key {key!r}")
@@ -679,8 +688,14 @@ def _read_inferred(text: str):
         if len(fields) != 4:
             raise DataError(f"inferred.tsv line {lineno}: expected 4 columns")
         gene, term, p, ci = fields
-        per_gene.setdefault(gene, []).append((term, float(p)))
-        cluster_of[gene] = int(ci)
+        try:
+            p_value, cluster_index = float(p), int(ci)
+        except ValueError:
+            raise DataError(
+                f"inferred.tsv line {lineno}: bad p-value {p!r} or cluster index {ci!r}"
+            ) from None
+        per_gene.setdefault(gene, []).append((term, p_value))
+        cluster_of[gene] = cluster_index
     return [
         InferredAnnotation(
             gene=g,

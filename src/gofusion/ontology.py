@@ -237,7 +237,7 @@ def parse_obo(data: bytes | str, strict: bool = False) -> Ontology:
         if tag == "id":
             if not is_term_id(value):
                 raise ParseError(f"malformed term id {value!r}", lineno)
-            cur_id, id_line = value, lineno
+            cur_id = value
         elif tag == "name":
             cur_name = value
         elif tag == "namespace":

@@ -6,12 +6,17 @@ minimum subsumer, so that pairs whose only shared ancestor sits near the
 root score low.  Gene distance is one minus the symmetric best-match
 average of term similarities between the two genes' direct annotation
 sets.
+
+``term_similarity``, ``min_subsumer`` and ``gene_semantic_distance`` are the
+scalar definitions and serve as the test oracles.  ``_term_sim_table`` and
+``semantic_distance_matrix`` compute the same numbers, bit for bit, with
+numpy loops over rows and no Python code per pair.  Both run
+single-threaded.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,21 +103,53 @@ def term_similarity(
 def _term_sim_table(
     o: Ontology, c: AnnotationCorpus, terms: list[TermId], kind: str
 ) -> np.ndarray:
-    """Dense similarity table over ``terms``; each unordered pair computed once."""
+    """Dense similarity table over ``terms``, bit-identical to ``term_similarity``.
+
+    Ancestors with an IC become columns ordered by IC, highest first, ties
+    by smallest id, so the minimum subsumer of a pair is the smallest column
+    the two terms share: the scalar's max-IC, smallest-id rule.  Row ``a``
+    finds it for every ``b >= a`` with one ragged min over the ancestor
+    columns of those terms.  A last column of IC -1 stands for "no common
+    ancestor with an IC", the scalar's fallback value.
+    """
     if kind not in SIMILARITY_KINDS:
         raise ValidationError(f"unknown similarity kind {kind!r}")
     for t in terms:
         _check_namespace(o, c, t)
-    anc = {t: o.ancestors(t) for t in terms}
-    ics = [information_content(c, t) for t in terms]
+    ics = np.array([information_content(c, t) for t in terms])
     peak = max(c.ic.values()) if c.ic else 0.0
+    anc = [o.ancestors(t) & c.ic.keys() for t in terms]
+    cols = sorted(set().union(*anc), key=lambda t: (-c.ic[t], t))
+    col_of = {t: k for k, t in enumerate(cols)}
+    no_mica = len(cols)
+    col_ic = np.array([c.ic[t] for t in cols] + [-1.0])
+    # math.exp, not np.exp: the two may differ in the last bit.
+    col_rel = np.array([1.0 - math.exp(-ic) for ic in col_ic])
+    anc_cols = [sorted(col_of[t] for t in a) for a in anc]
+    flat = np.array([k for ks in anc_cols for k in ks], dtype=np.intp)
+    starts = np.cumsum([0] + [len(ks) for ks in anc_cols[:-1]], dtype=np.intp)
+
     u = len(terms)
     sim = np.zeros((u, u))
+    shared = np.zeros(no_mica + 1, dtype=bool)
     for a in range(u):
-        anc_a = anc[terms[a]]
-        for b in range(a, u):
-            _ms, ms_ic = _max_ic_common_ancestor(c, anc_a, anc[terms[b]])
-            sim[a, b] = sim[b, a] = _sim_from_ic(ms_ic, ics[a], ics[b], kind, peak)
+        shared[:] = False
+        shared[anc_cols[a]] = True
+        tail = flat[starts[a]:]
+        cand = np.where(shared[tail], tail, no_mica)
+        mica = np.minimum.reduceat(cand, starts[a:] - starts[a])
+        ms_ic = col_ic[mica]
+        if kind == RESNIK_NORMALIZED:
+            row = np.minimum(ms_ic / peak, 1.0) if peak != 0.0 else np.zeros(u - a)
+        else:
+            denom = ics[a] + ics[a:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row = 2.0 * ms_ic / denom
+            if kind == RELEVANCE:
+                row = row * col_rel[mica]
+            row = np.where(denom == 0.0, 0.0, np.minimum(row, 1.0))
+        sim[a, a:] = row
+        sim[a:, a] = row
     return sim
 
 
@@ -152,31 +189,37 @@ def semantic_distance_matrix(
     kind: str = RELEVANCE,
     workers: int = 1,
 ) -> DistanceMatrix:
-    """Semantic DistanceMatrix over ``genes`` with memoized term-pair sims.
+    """Semantic DistanceMatrix over ``genes``, bit-identical to
+    ``gene_semantic_distance`` on every off-diagonal pair.
 
-    The term-pair similarity table is filled once, single-threaded; the
-    gene-pair fill may then be split across ``workers`` row blocks, and the
-    result is identical for any worker count because every entry depends
-    only on its own pair.
+    The term table and the gene fill are numpy loops over rows and run
+    single-threaded; ``workers`` is accepted for call compatibility and
+    ignored.  ``half[i, j]`` is the mean, over gene ``j``'s terms, of each
+    term's best match among gene ``i``'s terms; the table is symmetric, so
+    ``half[j, i]`` is the other side of the pair's best-match average.
+    Genes with equal term counts are gathered together, so each mean is a
+    row mean with numpy's 1-D summation order, as in the scalar path.
     """
     gene_terms = [sorted(c.direct_terms(g)) for g in genes]
     union = sorted({t for ts in gene_terms for t in ts})
     pos = {t: k for k, t in enumerate(union)}
     sim = _term_sim_table(o, c, union, kind)
-    idx = [np.array([pos[t] for t in ts]) for ts in gene_terms]
+    idx = [np.array([pos[t] for t in ts], dtype=np.intp) for ts in gene_terms]
+
+    by_size: dict[int, list[int]] = {}
+    for j, ix in enumerate(idx):
+        by_size.setdefault(len(ix), []).append(j)
+    groups = [(np.array(js), np.stack([idx[j] for j in js])) for js in by_size.values()]
 
     n = len(genes)
-    d = np.zeros((n, n))
-
-    def fill_row(i: int) -> None:
-        for j in range(i + 1, n):
-            d[i, j] = _best_match_distance(sim, idx[i], idx[j])
-
-    if workers > 1 and n > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n - 1)))
-    else:
-        for i in range(n - 1):
-            fill_row(i)
-    d = d + d.T
+    half = np.empty((n, n))
+    for i in range(n):
+        cover = sim[idx[i]].max(axis=0)
+        for js, ix in groups:
+            half[i, js] = cover[ix].mean(axis=1)
+    d = half + half.T
+    d *= 0.5
+    np.subtract(1.0, d, out=d)
+    np.clip(d, 0.0, 1.0, out=d)
+    np.fill_diagonal(d, 0.0)
     return DistanceMatrix(tuple(genes), d)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gofusion
 from gofusion.cli import build_config, main, parse_config_text
 from gofusion.errors import ConfigError
 from gofusion.synth import make_dataset, write_dataset
@@ -14,6 +18,24 @@ def data_dir(tmp_path_factory):
     ds = make_dataset(seed=5, subgroups_per_family=6, genes_per_subgroup=5)
     write_dataset(ds, out)
     return out
+
+
+@pytest.fixture(scope="module")
+def run_dir(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")) == 0
+    return out
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m gofusion`` in a fresh interpreter, as a user would."""
+    src = str(Path(gofusion.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gofusion", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def pipeline_args(data: Path, out: Path, *extra: str) -> list[str]:
@@ -255,3 +277,43 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "cluster"
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--config", None),
+            ("--config", b"k = \xff\n"),
+            ("--from-manifest", b"{not json"),
+            ("--from-manifest", b"[1, 2]"),
+        ],
+        ids=["missing-config", "config-not-utf8", "malformed-manifest", "manifest-not-object"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, flag, content):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        res = run_cli("pipeline", flag, str(path), "--out-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "ConfigError" in res.stderr
+
+    @pytest.mark.parametrize(
+        "row",
+        ["g1\tGO:0008150\tnot-a-number\t0", "g1\tGO:0008150\t0.01\tzero"],
+        ids=["p-value", "cluster-index"],
+    )
+    def test_non_numeric_inferred_field_is_data_error(self, data_dir, run_dir, tmp_path, row):
+        bad = tmp_path / "inferred.tsv"
+        bad.write_text(row + "\n")
+        res = run_cli(
+            "eval",
+            "--obo", str(data_dir / "go.obo"),
+            "--annotations", str(data_dir / "annotations.tsv"),
+            "--partition", str(run_dir / "partition.tsv"),
+            "--truth", str(data_dir / "truth.tsv"),
+            "--inferred", str(bad),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "line 1" in res.stderr

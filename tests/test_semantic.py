@@ -8,6 +8,8 @@ from gofusion.annotations import build_corpus, term_probability
 from gofusion.errors import UnknownIdError, ValidationError
 from gofusion.ontology import parse_obo
 from gofusion.semantic import (
+    SIMILARITY_KINDS,
+    _term_sim_table,
     gene_semantic_distance,
     min_subsumer,
     semantic_distance_matrix,
@@ -17,6 +19,33 @@ from gofusion.semantic import (
 from conftest import BP, FIXTURE_OBO, ROOT, random_dag_corpus
 
 TERMS = [ROOT, "GO:0000001", "GO:0000002", "GO:0000003"]
+
+
+def part_of_dag_corpus(seed: int, n_terms: int = 60, n_genes: int = 28):
+    """Multi-parent DAG with is_a and part_of edges, and a corpus whose genes
+    carry 1 to 14 direct terms.
+
+    Every term below the root descends from the first term, so that term has
+    probability 1 and ties the root's IC; genes may also be annotated to the
+    root itself, so zero-IC pairs occur.
+    """
+    rng = np.random.default_rng(seed)
+    ids = [ROOT] + [f"GO:{2000000 + i:07d}" for i in range(1, n_terms)]
+    stanzas = [f"[Term]\nid: {ROOT}\nname: root\nnamespace: {BP}\n"]
+    for i in range(1, n_terms):
+        parents = [0] if i == 1 else 1 + rng.choice(i - 1, size=min(3, i - 1), replace=False)
+        edges = [f"is_a: {ids[parents[0]]}"]
+        if len(parents) > 1:
+            edges.append(f"relationship: part_of {ids[parents[1]]}")
+        if len(parents) > 2 and rng.random() < 0.5:
+            edges.append(f"is_a: {ids[parents[2]]}")
+        stanzas.append(f"[Term]\nid: {ids[i]}\nname: t{i}\nnamespace: {BP}\n" + "\n".join(edges))
+    onto = parse_obo("\n\n".join(stanzas))
+    direct = {
+        f"gene{g:03d}": {ids[int(k)] for k in rng.choice(n_terms, size=1 + g % 14, replace=False)}
+        for g in range(n_genes)
+    }
+    return onto, build_corpus(direct, onto, BP)
 
 
 class TestMinSubsumer:
@@ -175,3 +204,57 @@ class TestSemanticMatrix:
         d1 = semantic_distance_matrix(onto, corpus, genes, workers=1)
         d4 = semantic_distance_matrix(onto, corpus, genes, workers=4)
         assert (d1.d == d4.d).all()
+
+
+class TestVectorizedEqualsScalar:
+    """The table and the matrix are vectorized; the scalar functions are the
+    oracles, and every entry must equal them exactly."""
+
+    @pytest.fixture(scope="class")
+    def dag(self):
+        onto, corpus = part_of_dag_corpus(seed=11)
+        sizes = {len(ts) for ts in corpus.direct.values()}
+        assert min(sizes) < 8 <= max(sizes)
+        assert any(
+            kind == "part_of" for t in onto.terms.values() for _p, kind in t.parents
+        )
+        return onto, corpus
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_term_table_entries(self, dag, kind):
+        onto, corpus = dag
+        terms = sorted(corpus.ic)
+        sim = _term_sim_table(onto, corpus, terms, kind)
+        for a, ta in enumerate(terms):
+            for b, tb in enumerate(terms):
+                assert sim[a, b] == term_similarity(onto, corpus, ta, tb, kind)
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_matrix_entries(self, dag, kind):
+        onto, corpus = dag
+        genes = corpus.genes()
+        dm = semantic_distance_matrix(onto, corpus, genes, kind)
+        for i, gi in enumerate(genes):
+            assert dm.d[i, i] == 0.0
+            for j, gj in enumerate(genes):
+                if i != j:
+                    assert dm.d[i, j] == gene_semantic_distance(onto, corpus, gi, gj, kind)
+
+    def test_table_rejects_unknown_kind(self, fixture_ontology, fixture_corpus):
+        with pytest.raises(ValidationError):
+            _term_sim_table(fixture_ontology, fixture_corpus, [ROOT], "wang")
+        with pytest.raises(ValidationError):
+            semantic_distance_matrix(fixture_ontology, fixture_corpus, ["gA"], "wang")
+
+    @pytest.mark.parametrize("bad", ["GO:0003674", "GO:0000009"])
+    def test_table_rejects_foreign_and_obsolete_terms(self, bad):
+        text = (
+            FIXTURE_OBO
+            + "\n[Term]\nid: GO:0003674\nname: mf root\nnamespace: molecular_function\n"
+            + "\n[Term]\nid: GO:0000009\nname: old\nnamespace: biological_process\n"
+            + "is_obsolete: true\n"
+        )
+        o = parse_obo(text)
+        c = build_corpus({"gA": {"GO:0000003"}}, o, BP)
+        with pytest.raises(ValidationError):
+            _term_sim_table(o, c, ["GO:0000003", bad], "relevance")
