@@ -37,6 +37,7 @@ from .clustering import (
 )
 from .enrichment import (
     CORRECTIONS,
+    InferredAnnotation,
     enrich_partition,
     export_term_graph,
     infer_functions,
@@ -246,52 +247,69 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-# -- shared loading steps ------------------------------------------------------
+# -- inputs --------------------------------------------------------------------
 
 
-def _digest(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+def _read(cfg: PipelineConfig, key: str, inputs: dict | None = None) -> str:
+    """Text of the input file named by option ``key``.
+
+    A missing option or path, or a path that cannot be read (a directory,
+    no permission), is a ConfigError; bytes that are not UTF-8 are a
+    DataError.  With ``inputs``, records the path and its SHA-256 there.
+    """
+    cfg.require(key)
+    path = getattr(cfg, key)
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise ConfigError(f"cannot read {key} {path}: {e}") from None
+    if inputs is not None:
+        inputs[key] = {"path": str(path.resolve()), "sha256": sha256(data).hexdigest()}
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{key} {path} is not UTF-8: {e}") from None
 
 
-def _load_ontology(cfg: PipelineConfig) -> Ontology:
-    cfg.require("obo")
-    return parse_obo(cfg.obo.read_bytes())
-
-
-def _load_corpus(cfg: PipelineConfig, o: Ontology) -> AnnotationCorpus:
-    cfg.require("annotations")
+def _load_annotations(
+    cfg: PipelineConfig, key: str, o: Ontology, inputs: dict | None = None
+) -> AnnotationCorpus:
     return load_annotations(
-        cfg.annotations.read_bytes(),
-        o,
-        cfg.namespace,
-        frozenset(cfg.evidence_exclude),
+        _read(cfg, key, inputs), o, cfg.namespace, frozenset(cfg.evidence_exclude)
     )
 
 
-def _load_expr_a(cfg: PipelineConfig, corpus: AnnotationCorpus) -> ExpressionMatrix:
-    cfg.require("expression_a")
-    expr = load_expression(cfg.expression_a.read_bytes())
-    missing = [g for g in expr.genes if g not in corpus.direct]
+def _load_truth(
+    cfg: PipelineConfig, o: Ontology, inputs: dict | None = None
+) -> dict[str, frozenset[str]] | None:
+    if cfg.truth is None:
+        return None
+    return dict(_load_annotations(cfg, "truth", o, inputs).direct)
+
+
+def _load_a(
+    cfg: PipelineConfig, inputs: dict | None = None
+) -> tuple[Ontology, AnnotationCorpus, ExpressionMatrix]:
+    """Ontology, annotations and the A expression matrix, every A gene annotated."""
+    o = parse_obo(_read(cfg, "obo", inputs))
+    corpus = _load_annotations(cfg, "annotations", o, inputs)
+    expr_a = load_expression(_read(cfg, "expression_a", inputs))
+    missing = [g for g in expr_a.genes if g not in corpus.direct]
     if missing:
         raise DataError(
             f"{len(missing)} expression genes lack annotations, e.g. {missing[:5]}"
         )
-    return expr
+    return o, corpus, expr_a
 
 
-def _combined_expression(
-    expr_a: ExpressionMatrix, expr_b: ExpressionMatrix
-) -> ExpressionMatrix:
-    if expr_a.conditions != expr_b.conditions:
-        raise DataError("A and B expression files have different condition columns")
-    overlap = set(expr_a.genes) & set(expr_b.genes)
-    if overlap:
-        raise DataError(f"B genes overlap A genes: {sorted(overlap)[:5]}")
-    return ExpressionMatrix(
-        expr_a.genes + expr_b.genes,
-        expr_a.conditions,
-        np.vstack([expr_a.values, expr_b.values]),
-    )
+def _load_partition_inputs(
+    cfg: PipelineConfig,
+) -> tuple[Ontology, AnnotationCorpus, Partition]:
+    """What ``enrich``, ``infer`` and ``eval`` start from."""
+    cfg.require("partition", "obo", "annotations", "out_dir")
+    o = parse_obo(_read(cfg, "obo"))
+    corpus = _load_annotations(cfg, "annotations", o)
+    return o, corpus, read_partition_tsv(_read(cfg, "partition"))
 
 
 def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
@@ -309,15 +327,6 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text, newline="\n")
 
 
-def _load_truth(
-    cfg: PipelineConfig, o: Ontology
-) -> dict[str, frozenset[str]]:
-    corpus_b = load_annotations(
-        cfg.truth.read_bytes(), o, cfg.namespace, frozenset(cfg.evidence_exclude)
-    )
-    return dict(corpus_b.direct)
-
-
 def _merged_corpus(
     corpus: AnnotationCorpus, truth: dict[str, frozenset[str]], o: Ontology, namespace: str
 ) -> AnnotationCorpus:
@@ -325,6 +334,140 @@ def _merged_corpus(
     for g, ts in truth.items():
         merged.setdefault(g, set()).update(ts)
     return build_corpus(merged, o, namespace)
+
+
+# -- stages shared by pipeline and the subcommands ------------------------------
+
+
+def _distances(
+    cfg: PipelineConfig, o: Ontology, corpus: AnnotationCorpus, expr_a: ExpressionMatrix
+) -> tuple[DistanceMatrix, DistanceMatrix]:
+    d_e = expression_distance_matrix(expr_a, cfg.metric)
+    d_go = semantic_distance_matrix(
+        o, corpus, expr_a.genes, cfg.similarity, workers=cfg.workers
+    )
+    for name, dm in (("d_e", d_e), ("d_go", d_go)):
+        _write(cfg.out_dir, f"{name}.tsv", write_distance_tsv(dm))
+        _write(cfg.out_dir, f"hist_{name}.csv", _histogram_csv(dm))
+    return d_e, d_go
+
+
+def _tune(
+    cfg: PipelineConfig,
+    o: Ontology,
+    corpus: AnnotationCorpus,
+    expr_a: ExpressionMatrix,
+    d_e: DistanceMatrix | None = None,
+    d_go: DistanceMatrix | None = None,
+) -> float:
+    """Run ``tune_gamma``, write ``tuning.json``/``tuning.csv``, return the best gamma."""
+    report = tune_gamma(
+        expr_a,
+        o,
+        corpus,
+        cfg.k,
+        grid_step=cfg.grid_step,
+        runs=cfg.runs,
+        split=cfg.split,
+        seed=cfg.seed,
+        metric=cfg.metric,
+        kind=cfg.similarity,
+        seeding=cfg.seeding,
+        workers=cfg.workers,
+        d_e=d_e,
+        d_go=d_go,
+    )
+    _write(cfg.out_dir, "tuning.json", report.to_json())
+    _write(cfg.out_dir, "tuning.csv", report.to_csv())
+    return report.best_gamma
+
+
+def _fuse(
+    cfg: PipelineConfig, d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float | None = None
+) -> tuple[float, DistanceMatrix]:
+    """The percentile blend at 0.5, or the raw blend at ``gamma`` (by default
+    the configured one); writes ``d_gamma.tsv`` and returns the gamma used."""
+    if cfg.balancing == "percentile":
+        gamma = 0.5
+        d_gamma = combine_gamma(
+            percentile_equalize(d_e, cfg.m), percentile_equalize(d_go, cfg.m), gamma
+        )
+    else:
+        gamma = float(cfg.gamma) if gamma is None else gamma
+        d_gamma = combine_gamma(d_e, d_go, gamma)
+    _write(cfg.out_dir, "d_gamma.tsv", write_distance_tsv(d_gamma))
+    return gamma, d_gamma
+
+
+def _assign(
+    cfg: PipelineConfig, part: Partition, expr_a: ExpressionMatrix, expr_b: ExpressionMatrix
+) -> Partition:
+    """Attach the B genes by expression distance and write ``partition.tsv``."""
+    if expr_a.conditions != expr_b.conditions:
+        raise DataError("A and B expression files have different condition columns")
+    overlap = set(expr_a.genes) & set(expr_b.genes)
+    if overlap:
+        raise DataError(f"B genes overlap A genes: {sorted(overlap)[:5]}")
+    combined = ExpressionMatrix(
+        expr_a.genes + expr_b.genes,
+        expr_a.conditions,
+        np.vstack([expr_a.values, expr_b.values]),
+    )
+    d_ab = expression_distance_matrix(combined, cfg.metric)
+    if cfg.resolved_assign_distance() == "equalized":
+        d_ab = percentile_equalize(d_ab, cfg.m)
+    part = assign_b(part, d_ab)
+    _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
+    return part
+
+
+def _enrich(cfg: PipelineConfig, part: Partition, corpus: AnnotationCorpus) -> None:
+    """Write ``enrichment.tsv`` for the clusters that received B genes."""
+    rows = enrich_partition(
+        assigned_subpartition(part), part.genes_a(), corpus, cfg.alpha, cfg.correction
+    )
+    _write(cfg.out_dir, "enrichment.tsv", write_enrichment_tsv(rows))
+
+
+def _infer(
+    cfg: PipelineConfig,
+    part: Partition,
+    corpus: AnnotationCorpus,
+    o: Ontology,
+    truth: dict[str, frozenset[str]] | None,
+) -> list[InferredAnnotation]:
+    """Write ``inferred.tsv`` and ``term_graph.dot``; return the inferred labels."""
+    inferred = infer_functions(
+        assigned_subpartition(part),
+        part.genes_a(),
+        corpus,
+        cfg.alpha,
+        cfg.correction,
+        workers=cfg.workers,
+    )
+    _write(cfg.out_dir, "inferred.tsv", write_inferred_tsv(inferred))
+    _write(cfg.out_dir, "term_graph.dot", export_term_graph(inferred, truth, o))
+    return inferred
+
+
+def _recall(
+    cfg: PipelineConfig,
+    report: MetricReport,
+    inferred: list[InferredAnnotation],
+    truth: dict[str, frozenset[str]],
+    scope: AnnotationCorpus,
+    o: Ontology,
+) -> None:
+    """Recall of the inferred labels of genes with truth, and without popular labels."""
+    scored = [r for r in inferred if r.gene in truth]
+    if not scored:
+        return
+    report.recall = recall_inferred(scored, truth)
+    if cfg.popular_threshold is not None:
+        counts = label_counts(scope, set(scope.direct), o)
+        popular = popular_terms(counts, cfg.popular_threshold)
+        report.popular_labels = [(t, n) for t, _name, n in counts if t in popular]
+        report.recall_no_popular = recall_inferred(scored, truth, exclude=popular)
 
 
 # -- pipeline ------------------------------------------------------------------
@@ -336,6 +479,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     cfg.require("obo", "annotations", "expression_a", "expression_b", "out_dir", "seed", "k")
     out = cfg.out_dir
     stages: dict[str, str] = {}
+    inputs: dict[str, dict] = {}
     manifest: dict = {
         "config": cfg.as_manifest_dict(),
         "versions": {
@@ -343,7 +487,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "inputs": {},
+        "inputs": inputs,
         "stages": stages,
     }
 
@@ -352,67 +496,27 @@ def run_pipeline(cfg: PipelineConfig) -> None:
 
     try:
         stage = "load"
-        for key in ("obo", "annotations", "expression_a", "expression_b", "truth"):
-            p = getattr(cfg, key)
-            if p is not None:
-                manifest["inputs"][key] = {"path": str(p.resolve()), "sha256": _digest(p)}
-        o = _load_ontology(cfg)
+        o, corpus, expr_a = _load_a(cfg, inputs)
         manifest["ontology_digest"] = o.source_digest
-        corpus = _load_corpus(cfg, o)
         manifest["gene_universe_size"] = corpus.gene_universe_size
-        expr_a = _load_expr_a(cfg, corpus)
-        expr_b = load_expression(cfg.expression_b.read_bytes())
+        expr_b = load_expression(_read(cfg, "expression_b", inputs))
+        truth = _load_truth(cfg, o, inputs)
         stages[stage] = "ok"
 
         stage = "distances"
-        d_e = expression_distance_matrix(expr_a, cfg.metric)
-        d_go = semantic_distance_matrix(
-            o, corpus, expr_a.genes, cfg.similarity, workers=cfg.workers
-        )
-        _write(out, "d_e.tsv", write_distance_tsv(d_e))
-        _write(out, "d_go.tsv", write_distance_tsv(d_go))
-        _write(out, "hist_d_e.csv", _histogram_csv(d_e))
-        _write(out, "hist_d_go.csv", _histogram_csv(d_go))
+        d_e, d_go = _distances(cfg, o, corpus, expr_a)
         stages[stage] = "ok"
 
         stage = "balancing"
-        if cfg.balancing == "percentile":
-            gamma_used = 0.5
-            d_gamma = combine_gamma(
-                percentile_equalize(d_e, cfg.m),
-                percentile_equalize(d_go, cfg.m),
-                gamma_used,
-            )
-        elif cfg.balancing == "gamma_tuning":
-            report = tune_gamma(
-                expr_a,
-                o,
-                corpus,
-                cfg.k,
-                grid_step=cfg.grid_step,
-                runs=cfg.runs,
-                split=cfg.split,
-                seed=cfg.seed,
-                metric=cfg.metric,
-                kind=cfg.similarity,
-                seeding=cfg.seeding,
-                workers=cfg.workers,
-                d_e=d_e,
-                d_go=d_go,
-            )
-            _write(out, "tuning.json", report.to_json())
-            _write(out, "tuning.csv", report.to_csv())
-            gamma_used = report.best_gamma
-            d_gamma = combine_gamma(d_e, d_go, gamma_used)
-        else:
-            gamma_used = float(cfg.gamma)
-            d_gamma = combine_gamma(d_e, d_go, gamma_used)
+        tuned = None
+        if cfg.balancing == "gamma_tuning":
+            tuned = _tune(cfg, o, corpus, expr_a, d_e, d_go)
+        gamma_used, d_gamma = _fuse(cfg, d_e, d_go, tuned)
         manifest["balancing"] = {
             "mode": cfg.balancing,
             "gamma_used": gamma_used,
             "assign_distance": cfg.resolved_assign_distance(),
         }
-        _write(out, "d_gamma.tsv", write_distance_tsv(d_gamma))
         stages[stage] = "ok"
 
         stage = "cluster"
@@ -420,12 +524,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         stages[stage] = "ok"
 
         stage = "assign"
-        combined = _combined_expression(expr_a, expr_b)
-        d_ab = expression_distance_matrix(combined, cfg.metric)
-        if cfg.resolved_assign_distance() == "equalized":
-            d_ab = percentile_equalize(d_ab, cfg.m)
-        part = assign_b(part, d_ab)
-        _write(out, "partition.tsv", write_partition_tsv(part))
+        part = _assign(cfg, part, expr_a, expr_b)
         _write(
             out,
             "cluster_meta.json",
@@ -439,21 +538,14 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         stages[stage] = "ok"
 
         stage = "enrich"
-        sub = assigned_subpartition(part)
-        background = set(expr_a.genes)
-        rows = enrich_partition(sub, background, corpus, cfg.alpha, cfg.correction)
-        _write(out, "enrichment.tsv", write_enrichment_tsv(rows))
-        inferred = infer_functions(
-            sub, background, corpus, cfg.alpha, cfg.correction, workers=cfg.workers
-        )
-        _write(out, "inferred.tsv", write_inferred_tsv(inferred))
+        _enrich(cfg, part, corpus)
+        inferred = _infer(cfg, part, corpus, o, truth)
         stages[stage] = "ok"
 
         stage = "metrics"
         report = MetricReport()
-        truth = None
-        if cfg.truth is not None:
-            truth = _load_truth(cfg, o)
+        sub = assigned_subpartition(part)
+        if truth is not None:
             merged = _merged_corpus(corpus, truth, o, cfg.namespace)
             all_genes = list(expr_a.genes) + [g for g in expr_b.genes if g in merged.direct]
             d_go_eval = semantic_distance_matrix(
@@ -464,28 +556,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             scorable = {g for cl in sub.clusters for g in cl.members_b} & set(merged.direct)
             if scorable:
                 report.sc = semantic_compactness(_restrict_b(sub, scorable), d_go_eval)
-            scored_inferred = [r for r in inferred if r.gene in truth]
-            if scored_inferred:
-                report.recall = recall_inferred(scored_inferred, truth)
-                if cfg.popular_threshold is not None:
-                    counts = label_counts(merged, set(merged.direct), o)
-                    popular = popular_terms(counts, cfg.popular_threshold)
-                    report.popular_labels = [
-                        (t, n) for t, _name, n in counts if t in popular
-                    ]
-                    report.recall_no_popular = recall_inferred(
-                        scored_inferred, truth, exclude=popular
-                    )
+            _recall(cfg, report, inferred, truth, merged, o)
         else:
-            stripped = Partition(
-                tuple(Cluster(cl.medoid, cl.members_a) for cl in sub.clusters),
-                k=sub.k,
-                total_cost=sub.total_cost,
-            )
-            report.bhi = bhi(stripped, corpus)
-            report.bc = bc(stripped, d_go)
+            annotated = _restrict_b(sub, set())
+            report.bhi = bhi(annotated, corpus)
+            report.bc = bc(annotated, d_go)
         _write(out, "metrics.json", report.to_json())
-        _write(out, "term_graph.dot", export_term_graph(inferred, truth, o))
         stages[stage] = "ok"
         finish_manifest()
     except GofusionError as e:
@@ -534,64 +610,27 @@ def cmd_synth(args: argparse.Namespace) -> None:
 def cmd_distances(args: argparse.Namespace) -> None:
     cfg = build_config(args)
     cfg.require("obo", "annotations", "expression_a", "out_dir")
-    o = _load_ontology(cfg)
-    corpus = _load_corpus(cfg, o)
-    expr_a = _load_expr_a(cfg, corpus)
-    d_e = expression_distance_matrix(expr_a, cfg.metric)
-    d_go = semantic_distance_matrix(
-        o, corpus, expr_a.genes, cfg.similarity, workers=cfg.workers
-    )
-    _write(cfg.out_dir, "d_e.tsv", write_distance_tsv(d_e))
-    _write(cfg.out_dir, "d_go.tsv", write_distance_tsv(d_go))
-    _write(cfg.out_dir, "hist_d_e.csv", _histogram_csv(d_e))
-    _write(cfg.out_dir, "hist_d_go.csv", _histogram_csv(d_go))
+    _distances(cfg, *_load_a(cfg))
 
 
 def cmd_tune_gamma(args: argparse.Namespace) -> None:
     cfg = build_config(args)
     cfg.require("obo", "annotations", "expression_a", "out_dir", "seed", "k")
-    o = _load_ontology(cfg)
-    corpus = _load_corpus(cfg, o)
-    expr_a = _load_expr_a(cfg, corpus)
-    report = tune_gamma(
-        expr_a,
-        o,
-        corpus,
-        cfg.k,
-        grid_step=cfg.grid_step,
-        runs=cfg.runs,
-        split=cfg.split,
-        seed=cfg.seed,
-        metric=cfg.metric,
-        kind=cfg.similarity,
-        seeding=cfg.seeding,
-        workers=cfg.workers,
-    )
-    _write(cfg.out_dir, "tuning.json", report.to_json())
-    _write(cfg.out_dir, "tuning.csv", report.to_csv())
-    print(f"best_gamma\t{report.best_gamma:.10g}")
+    print(f"best_gamma\t{_tune(cfg, *_load_a(cfg)):.10g}")
 
 
 def cmd_cluster(args: argparse.Namespace) -> None:
     cfg = build_config(args)
     cfg.require("d_e", "d_go", "out_dir", "k")
-    d_e = read_distance_tsv(cfg.d_e.read_text())
-    d_go = read_distance_tsv(cfg.d_go.read_text())
-    if cfg.balancing == "percentile":
-        gamma_used = 0.5
-        d_gamma = combine_gamma(
-            percentile_equalize(d_e, cfg.m), percentile_equalize(d_go, cfg.m), gamma_used
-        )
-    elif cfg.balancing == "fixed_gamma":
-        gamma_used = float(cfg.gamma)
-        d_gamma = combine_gamma(d_e, d_go, gamma_used)
-    else:
+    if cfg.balancing == "gamma_tuning":
         raise ConfigError(
             "cluster works with balancing=percentile or fixed_gamma; "
             "run tune-gamma first and pass --balancing fixed_gamma --gamma <best>"
         )
+    d_e = read_distance_tsv(_read(cfg, "d_e"))
+    d_go = read_distance_tsv(_read(cfg, "d_go"))
+    gamma_used, d_gamma = _fuse(cfg, d_e, d_go)
     part = cluster_a(d_gamma, cfg.k, cfg.seeding)
-    _write(cfg.out_dir, "d_gamma.tsv", write_distance_tsv(d_gamma))
     _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
     _write(
         cfg.out_dir,
@@ -603,53 +642,28 @@ def cmd_cluster(args: argparse.Namespace) -> None:
 def cmd_assign(args: argparse.Namespace) -> None:
     cfg = build_config(args)
     cfg.require("partition", "expression_a", "expression_b", "out_dir")
-    part = read_partition_tsv(cfg.partition.read_text())
-    expr_a = load_expression(cfg.expression_a.read_bytes())
-    expr_b = load_expression(cfg.expression_b.read_bytes())
-    combined = _combined_expression(expr_a, expr_b)
-    d_ab = expression_distance_matrix(combined, cfg.metric)
-    if cfg.resolved_assign_distance() == "equalized":
-        d_ab = percentile_equalize(d_ab, cfg.m)
-    part = assign_b(part, d_ab)
-    _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
+    part = read_partition_tsv(_read(cfg, "partition"))
+    expr_a = load_expression(_read(cfg, "expression_a"))
+    _assign(cfg, part, expr_a, load_expression(_read(cfg, "expression_b")))
 
 
 def cmd_enrich(args: argparse.Namespace) -> None:
     cfg = build_config(args)
-    cfg.require("partition", "obo", "annotations", "out_dir")
-    o = _load_ontology(cfg)
-    corpus = _load_corpus(cfg, o)
-    part = read_partition_tsv(cfg.partition.read_text())
-    sub = assigned_subpartition(part)
-    background = part.genes_a()
-    rows = enrich_partition(sub, background, corpus, cfg.alpha, cfg.correction)
-    _write(cfg.out_dir, "enrichment.tsv", write_enrichment_tsv(rows))
+    _o, corpus, part = _load_partition_inputs(cfg)
+    _enrich(cfg, part, corpus)
 
 
 def cmd_infer(args: argparse.Namespace) -> None:
     cfg = build_config(args)
-    cfg.require("partition", "obo", "annotations", "out_dir")
-    o = _load_ontology(cfg)
-    corpus = _load_corpus(cfg, o)
-    part = read_partition_tsv(cfg.partition.read_text())
-    sub = assigned_subpartition(part)
-    background = part.genes_a()
-    inferred = infer_functions(
-        sub, background, corpus, cfg.alpha, cfg.correction, workers=cfg.workers
-    )
-    _write(cfg.out_dir, "inferred.tsv", write_inferred_tsv(inferred))
-    truth = _load_truth(cfg, o) if cfg.truth is not None else None
-    _write(cfg.out_dir, "term_graph.dot", export_term_graph(inferred, truth, o))
+    o, corpus, part = _load_partition_inputs(cfg)
+    _infer(cfg, part, corpus, o, _load_truth(cfg, o))
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
     cfg = build_config(args)
-    cfg.require("partition", "obo", "annotations", "out_dir")
-    o = _load_ontology(cfg)
-    corpus = _load_corpus(cfg, o)
-    part = read_partition_tsv(cfg.partition.read_text())
+    o, corpus, part = _load_partition_inputs(cfg)
     report = MetricReport()
-    truth = _load_truth(cfg, o) if cfg.truth is not None else None
+    truth = _load_truth(cfg, o)
     scope = _merged_corpus(corpus, truth, o, cfg.namespace) if truth else corpus
     genes = sorted((part.genes_a() | part.genes_b()) & set(scope.direct))
     d_go_eval = semantic_distance_matrix(o, scope, genes, cfg.similarity, cfg.workers)
@@ -659,25 +673,14 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if any(cl.members_b & set(scope.direct) for cl in part.clusters):
         report.sc = semantic_compactness(evaluable, d_go_eval)
     if cfg.against is not None:
-        other = read_partition_tsv(Path(cfg.against).read_text())
-        fm = fowlkes_mallows(part.labels(), other.labels())
-        report.fm = fm.value
+        other = read_partition_tsv(_read(cfg, "against"))
+        report.fm = fowlkes_mallows(part.labels(), other.labels()).value
     if cfg.inferred is not None and truth is not None:
-        inferred = _read_inferred(Path(cfg.inferred).read_text())
-        scored = [r for r in inferred if r.gene in truth]
-        if scored:
-            report.recall = recall_inferred(scored, truth)
-            if cfg.popular_threshold is not None:
-                counts = label_counts(scope, set(scope.direct), o)
-                popular = popular_terms(counts, cfg.popular_threshold)
-                report.popular_labels = [(t, n) for t, _nm, n in counts if t in popular]
-                report.recall_no_popular = recall_inferred(scored, truth, exclude=popular)
+        _recall(cfg, report, _read_inferred(_read(cfg, "inferred")), truth, scope, o)
     _write(cfg.out_dir, "metrics.json", report.to_json())
 
 
-def _read_inferred(text: str):
-    from .enrichment import InferredAnnotation
-
+def _read_inferred(text: str) -> list[InferredAnnotation]:
     per_gene: dict[str, list[tuple[str, float]]] = {}
     cluster_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

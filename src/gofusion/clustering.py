@@ -249,6 +249,7 @@ def write_partition_tsv(p: Partition) -> str:
 
 def read_partition_tsv(text: str) -> Partition:
     rows: list[tuple[str, int, str, bool]] = []
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\r")
         if not line.strip() or line.startswith("gene_id\t"):
@@ -263,6 +264,11 @@ def read_partition_tsv(text: str) -> Partition:
             idx = int(ci)
         except ValueError:
             raise ParseError(f"bad cluster index {ci!r}", lineno) from None
+        if idx < 0:
+            raise ParseError(f"negative cluster index {idx}", lineno)
+        if gene in seen:
+            raise ParseError(f"gene {gene!r} is listed on more than one row", lineno)
+        seen.add(gene)
         rows.append((gene, idx, origin, is_med == "1"))
     if not rows:
         raise ParseError("empty partition file", 1)

@@ -11,7 +11,6 @@ transferred to the cluster's unannotated genes as their inferred functions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, GeneId
@@ -150,23 +149,14 @@ def infer_functions(
 
     Inference is cluster-level: all B genes of a cluster receive the same
     ordered term list.  Clusters without B genes are skipped; clusters with
-    no passing term yield empty, flagged records.
+    no passing term yield empty, flagged records.  Clusters are tested one
+    after another; ``workers`` is accepted for call compatibility and ignored.
     """
-    targets = [
-        (i, cl) for i, cl in enumerate(p.clusters) if cl.members_b
-    ]
-
-    def run(item: tuple[int, Cluster]) -> list[EnrichmentRecord]:
-        return enrich_cluster(item[1], background, c, alpha, correction)
-
-    if workers > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_records = list(pool.map(run, targets))
-    else:
-        all_records = [run(t) for t in targets]
-
     out: list[InferredAnnotation] = []
-    for (i, cl), records in zip(targets, all_records):
+    for i, cl in enumerate(p.clusters):
+        if not cl.members_b:
+            continue
+        records = enrich_cluster(cl, background, c, alpha, correction)
         terms = tuple((r.term, r.p_value) for r in records)
         for g in sorted(cl.members_b):
             out.append(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +185,9 @@ def tune_gamma(
     restricted to it, attach the held-out genes by expression-centroid
     distance, and score the held-out genes' semantic compactness.  Cells
     are independent and seeded from (seed, gamma index, run index), so the
-    report is reproducible and worker-count independent.  The best gamma is
-    the curve's argmin, ties resolved toward the smallest gamma.
+    report is reproducible.  The best gamma is the curve's argmin, ties
+    resolved toward the smallest gamma.  Cells run one after another in this
+    process; ``workers`` is accepted for call compatibility and ignored.
 
     Precomputed ``d_e`` / ``d_go`` matrices over exactly ``expr.genes`` may
     be supplied to avoid recomputation.
@@ -235,15 +235,7 @@ def tune_gamma(
         part = _centroid_assign(expr, part, held_genes, metric)
         return semantic_compactness(part, d_go)
 
-    tasks = [(g, r) for g in range(len(grid)) for r in range(runs)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(lambda t: cell(*t), tasks))
-    else:
-        flat = [cell(g, r) for g, r in tasks]
-    sc_runs = tuple(
-        tuple(flat[g * runs + r] for r in range(runs)) for g in range(len(grid))
-    )
+    sc_runs = tuple(tuple(cell(g, r) for r in range(runs)) for g in range(len(grid)))
     sc_curve = tuple(float(np.mean(rs)) for rs in sc_runs)
     best_gamma = grid[int(np.argmin(sc_curve))]
     return TuningReport(

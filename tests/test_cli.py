@@ -317,3 +317,38 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
         assert "line 1" in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, bad",
+        [
+            ("pipeline", "--truth", "missing"),
+            ("pipeline", "--obo", "directory"),
+            ("eval", "--against", "missing"),
+            ("eval", "--inferred", "missing"),
+            ("eval", "--partition", "directory"),
+        ],
+    )
+    def test_unreadable_input_is_config_error(
+        self, data_dir, run_dir, tmp_path, command, flag, bad
+    ):
+        out = tmp_path / "out"
+        if command == "pipeline":
+            argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        else:
+            argv = [
+                "eval",
+                "--obo", str(data_dir / "go.obo"),
+                "--annotations", str(data_dir / "annotations.tsv"),
+                "--partition", str(run_dir / "partition.tsv"),
+                "--against", str(run_dir / "partition.tsv"),
+                "--inferred", str(run_dir / "inferred.tsv"),
+                "--out-dir", str(out),
+            ]
+        argv += ["--truth", str(data_dir / "truth.tsv")]
+        argv[argv.index(flag) + 1] = str(tmp_path / "absent.tsv" if bad == "missing" else tmp_path)
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "ConfigError" in res.stderr
+        if command == "pipeline":
+            assert json.loads((out / "error.json").read_text())["stage"] == "load"

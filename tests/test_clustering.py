@@ -13,7 +13,7 @@ from gofusion.clustering import (
     swap_refine,
     write_partition_tsv,
 )
-from gofusion.errors import ConfigError, ValidationError
+from gofusion.errors import ConfigError, ParseError, ValidationError
 from gofusion.expression import DistanceMatrix
 
 from conftest import random_distance_matrix
@@ -207,3 +207,19 @@ class TestSerialization:
         assert back.clusters[0].medoid == "a0"
         assert back.clusters[0].members_b == frozenset({"b0"})
         assert write_partition_tsv(back) == text
+
+    def test_negative_cluster_index_rejected(self):
+        text = "gene_id\tcluster_index\torigin\tis_medoid\na0\t0\tA\t1\nb0\t-1\tB\t0\n"
+        with pytest.raises(ParseError, match="line 3: negative cluster index"):
+            read_partition_tsv(text)
+
+    @pytest.mark.parametrize(
+        "second_row", ["b0\t1\tB\t0", "a0\t1\tB\t0"], ids=["b-in-two-clusters", "a-and-b"]
+    )
+    def test_gene_on_two_rows_rejected(self, second_row):
+        text = (
+            "gene_id\tcluster_index\torigin\tis_medoid\n"
+            f"a0\t0\tA\t1\na1\t1\tA\t1\nb0\t0\tB\t0\n{second_row}\n"
+        )
+        with pytest.raises(ParseError, match="line 5: gene .* more than one row"):
+            read_partition_tsv(text)
