@@ -18,6 +18,8 @@ import sys
 from dataclasses import dataclass, fields
 from hashlib import sha256
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,21 +74,7 @@ from .synth import make_dataset, write_dataset
 BALANCINGS = ("percentile", "gamma_tuning", "fixed_gamma")
 ASSIGN_DISTANCES = ("raw", "equalized")
 
-_PATH_KEYS = (
-    "obo",
-    "annotations",
-    "expression_a",
-    "expression_b",
-    "truth",
-    "d_e",
-    "d_go",
-    "partition",
-    "inferred",
-    "against",
-    "out_dir",
-)
-_STR_KEYS = {
-    "namespace": None,
+_CHOICES = {
     "metric": METRICS,
     "similarity": SIMILARITY_KINDS,
     "balancing": BALANCINGS,
@@ -94,9 +82,6 @@ _STR_KEYS = {
     "seeding": SEEDINGS,
     "assign_distance": ASSIGN_DISTANCES,
 }
-_FLOAT_KEYS = ("gamma", "grid_step", "split", "alpha")
-_INT_KEYS = ("m", "k", "runs", "seed", "workers", "popular_threshold")
-_LIST_KEYS = ("evidence_exclude",)
 
 
 @dataclass
@@ -143,9 +128,9 @@ class PipelineConfig:
                 raise ConfigError(f"{k} path does not exist: {v}")
 
     def validate_choices(self) -> None:
-        for key, choices in _STR_KEYS.items():
+        for key, choices in _CHOICES.items():
             v = getattr(self, key)
-            if choices and v is not None and v not in choices:
+            if v is not None and v not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v!r}")
         if self.balancing == "fixed_gamma" and self.gamma is None:
             raise ConfigError("balancing=fixed_gamma requires gamma")
@@ -192,26 +177,30 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _option_type(hint: object) -> type:
+    """The type an option's value takes: ``Path`` for ``Path | None``."""
+    if get_origin(hint) is UnionType:
+        return next(t for t in get_args(hint) if t is not type(None))
+    return get_origin(hint) or hint
+
+
+# each option's type, as ``PipelineConfig`` declares it
+_OPTION_TYPES = {k: _option_type(h) for k, h in get_type_hints(PipelineConfig).items()}
+
+
 def _coerce(key: str, value) -> object:
     if value is None:
         return None
-    if key in _PATH_KEYS:
-        return Path(value)
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if key in _LIST_KEYS:
+    kind = _OPTION_TYPES[key]
+    if kind is tuple:
         if isinstance(value, tuple):
             return value
         return tuple(v.strip() for v in str(value).split(",") if v.strip())
-    return str(value)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):  # TypeError: a manifest value of another JSON type
+        noun = {int: "an integer", float: "a number"}.get(kind, "a path")
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -227,7 +216,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(config, dict):
             raise ConfigError(f"manifest {manifest_path} has no config object")
         for key, v in config.items():
-            if v is not None and any(f.name == key for f in fields(PipelineConfig)):
+            if v is not None and key in _OPTION_TYPES:
                 values[key] = _coerce(key, v)
     if getattr(args, "config", None):
         try:
@@ -235,7 +224,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         for key, v in raw.items():
-            if not any(f.name == key for f in fields(PipelineConfig)):
+            if key not in _OPTION_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, v)
     for f in fields(PipelineConfig):
@@ -343,9 +332,7 @@ def _distances(
     cfg: PipelineConfig, o: Ontology, corpus: AnnotationCorpus, expr_a: ExpressionMatrix
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
     d_e = expression_distance_matrix(expr_a, cfg.metric)
-    d_go = semantic_distance_matrix(
-        o, corpus, expr_a.genes, cfg.similarity, workers=cfg.workers
-    )
+    d_go = semantic_distance_matrix(o, corpus, expr_a.genes, cfg.similarity)
     for name, dm in (("d_e", d_e), ("d_go", d_go)):
         _write(cfg.out_dir, f"{name}.tsv", write_distance_tsv(dm))
         _write(cfg.out_dir, f"hist_{name}.csv", _histogram_csv(dm))
@@ -373,7 +360,6 @@ def _tune(
         metric=cfg.metric,
         kind=cfg.similarity,
         seeding=cfg.seeding,
-        workers=cfg.workers,
         d_e=d_e,
         d_go=d_go,
     )
@@ -438,12 +424,7 @@ def _infer(
 ) -> list[InferredAnnotation]:
     """Write ``inferred.tsv`` and ``term_graph.dot``; return the inferred labels."""
     inferred = infer_functions(
-        assigned_subpartition(part),
-        part.genes_a(),
-        corpus,
-        cfg.alpha,
-        cfg.correction,
-        workers=cfg.workers,
+        assigned_subpartition(part), part.genes_a(), corpus, cfg.alpha, cfg.correction
     )
     _write(cfg.out_dir, "inferred.tsv", write_inferred_tsv(inferred))
     _write(cfg.out_dir, "term_graph.dot", export_term_graph(inferred, truth, o))
@@ -548,9 +529,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         if truth is not None:
             merged = _merged_corpus(corpus, truth, o, cfg.namespace)
             all_genes = list(expr_a.genes) + [g for g in expr_b.genes if g in merged.direct]
-            d_go_eval = semantic_distance_matrix(
-                o, merged, all_genes, cfg.similarity, workers=cfg.workers
-            )
+            d_go_eval = semantic_distance_matrix(o, merged, all_genes, cfg.similarity)
             report.bhi = bhi(sub, merged)
             report.bc = bc(sub, d_go_eval)
             scorable = {g for cl in sub.clusters for g in cl.members_b} & set(merged.direct)
@@ -666,7 +645,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
     truth = _load_truth(cfg, o)
     scope = _merged_corpus(corpus, truth, o, cfg.namespace) if truth else corpus
     genes = sorted((part.genes_a() | part.genes_b()) & set(scope.direct))
-    d_go_eval = semantic_distance_matrix(o, scope, genes, cfg.similarity, cfg.workers)
+    d_go_eval = semantic_distance_matrix(o, scope, genes, cfg.similarity)
     evaluable = _restrict_b(part, set(scope.direct))
     report.bhi = bhi(evaluable, scope)
     report.bc = bc(evaluable, d_go_eval)
@@ -676,11 +655,18 @@ def cmd_eval(args: argparse.Namespace) -> None:
         other = read_partition_tsv(_read(cfg, "against"))
         report.fm = fowlkes_mallows(part.labels(), other.labels()).value
     if cfg.inferred is not None and truth is not None:
-        _recall(cfg, report, _read_inferred(_read(cfg, "inferred")), truth, scope, o)
+        inferred = _read_inferred(_read(cfg, "inferred"), part.labels("b"))
+        _recall(cfg, report, inferred, truth, scope, o)
     _write(cfg.out_dir, "metrics.json", report.to_json())
 
 
-def _read_inferred(text: str) -> list[InferredAnnotation]:
+def _read_inferred(text: str, b_clusters: dict[str, int]) -> list[InferredAnnotation]:
+    """The records of ``inferred.tsv``, one per gene, sorted by gene.
+
+    ``b_clusters`` maps the partition's B genes to their clusters; a B gene
+    without rows (its cluster passed no term) gets an empty, unenriched
+    record, as the pipeline gives it, so recall scores it 0.
+    """
     per_gene: dict[str, list[tuple[str, float]]] = {}
     cluster_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -699,6 +685,9 @@ def _read_inferred(text: str) -> list[InferredAnnotation]:
             ) from None
         per_gene.setdefault(gene, []).append((term, p_value))
         cluster_of[gene] = cluster_index
+    for gene, cluster_index in b_clusters.items():
+        per_gene.setdefault(gene, [])
+        cluster_of.setdefault(gene, cluster_index)
     return [
         InferredAnnotation(
             gene=g,
@@ -721,13 +710,8 @@ def cmd_pipeline(args: argparse.Namespace) -> None:
 def _common_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="flat key = value config file")
-    for key in _PATH_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    for key in _STR_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    for key in _FLOAT_KEYS + _INT_KEYS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    p.add_argument("--evidence-exclude", dest="evidence_exclude")
+    for f in fields(PipelineConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
     return p
 
 

@@ -133,7 +133,6 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
 
     def tables():
         meds_sorted = sorted(med_set)
-        col_of = {m: i for i, m in enumerate(meds_sorted)}
         sub = d[:, meds_sorted]
         nearest = sub.min(axis=1)
         if len(meds_sorted) > 1:
@@ -143,25 +142,22 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
         mask = np.zeros(n, dtype=bool)
         mask[meds_sorted] = True
         cand = np.nonzero(~mask)[0]
-        return col_of, sub, nearest, second, cand
+        return nearest, second, cand
 
     changed = True
     while changed:
         changed = False
-        col_of, sub, nearest, second, cand = tables()
+        nearest, second, cand = tables()
         current = float(nearest.sum())
         for m in sorted(med_set):
-            if m not in med_set or cand.size == 0:
-                continue
-            col = sub[:, col_of[m]]
-            rest_min = np.where(col == nearest, second, nearest)
+            rest_min = np.where(d[:, m] == nearest, second, nearest)
             costs = np.minimum(rest_min[:, None], d[:, cand]).sum(axis=0)
             better = np.nonzero(costs < current)[0]
             if better.size:
                 med_set.remove(m)
                 med_set.add(int(cand[better[0]]))
                 changed = True
-                col_of, sub, nearest, second, cand = tables()
+                nearest, second, cand = tables()
                 current = float(nearest.sum())
     return sorted(med_set)
 
@@ -191,12 +187,10 @@ def cluster_a(
 def _partition_from_medoids(dm: DistanceMatrix, medoids: list[int]) -> Partition:
     meds = sorted(medoids)
     assign = dm.d[:, meds].argmin(axis=1)  # ties take the lowest cluster index
+    assign[meds] = np.arange(len(meds))  # a medoid stays in its own cluster
     members: list[set[GeneId]] = [set() for _ in meds]
-    for gi in range(len(dm.genes)):
-        if gi in meds:
-            members[meds.index(gi)].add(dm.genes[gi])
-        else:
-            members[int(assign[gi])].add(dm.genes[gi])
+    for g, ci in zip(dm.genes, assign.tolist()):
+        members[ci].add(g)
     clusters = tuple(
         Cluster(medoid=dm.genes[m], members_a=frozenset(members[ci]))
         for ci, m in enumerate(meds)
@@ -214,11 +208,11 @@ def assign_b(p: Partition, d_expr: DistanceMatrix) -> Partition:
     """
     a_genes = p.genes_a()
     medoid_idx = [d_expr.index_of(cl.medoid) for cl in p.clusters]
-    b_genes = [g for g in d_expr.genes if g not in a_genes]
+    b_idx = [i for i, g in enumerate(d_expr.genes) if g not in a_genes]
+    nearest = d_expr.d[np.ix_(b_idx, medoid_idx)].argmin(axis=1)
     new_b: list[set[GeneId]] = [set() for _ in p.clusters]
-    for g in b_genes:
-        row = d_expr.d[d_expr.index_of(g), medoid_idx]
-        new_b[int(row.argmin())].add(g)
+    for i, ci in zip(b_idx, nearest.tolist()):
+        new_b[ci].add(d_expr.genes[i])
     clusters = tuple(
         Cluster(cl.medoid, cl.members_a, frozenset(new_b[i]))
         for i, cl in enumerate(p.clusters)

@@ -2,7 +2,9 @@
 
 Both distance flavors land in [0, 1]: Euclidean distances are divided by
 the largest off-diagonal raw distance, and Pearson correlation r is mapped
-to (1 - r) / 2 so positively correlated genes are near each other.
+to (1 - r) / 2 so positively correlated genes are near each other.  Both
+formulas live in ``PreparedRows.raw_distances``, which the gene-by-gene
+matrix here and the nearest-centroid step of gamma tuning both call.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class ExpressionMatrix:
             raise ValidationError("expression matrix needs at least 2 conditions")
         if not np.isfinite(v).all():
             raise ValidationError("expression matrix contains non-finite values")
-
-    def row(self, gene: GeneId) -> np.ndarray:
-        try:
-            return self.values[self.genes.index(gene)]
-        except ValueError:
-            raise UnknownIdError(f"gene {gene!r} has no expression row") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,30 +171,37 @@ def l2_normalize_blocks(
     return ExpressionMatrix(m.genes, m.conditions, out)
 
 
-def _pairwise_euclidean(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        diff = values[i + 1 :] - values[i]
-        d[i, i + 1 :] = np.sqrt((diff * diff).sum(axis=1))
-    return d + d.T
+class PreparedRows:
+    """Expression rows in the form one metric's formula reads, computed once.
 
+    Euclidean keeps the rows as given.  Pearson centres each row on its mean
+    and keeps the norms of the centred rows; a flat row has norm 0.
+    """
 
-def _pairwise_pearson(values: np.ndarray, genes: tuple[GeneId, ...]) -> np.ndarray:
-    centered = values - values.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered * centered).sum(axis=1))
-    flat = np.nonzero(norms == 0.0)[0]
-    if flat.size:
-        raise DegenerateError(
-            f"gene {genes[flat[0]]!r} has zero variance; Pearson distance undefined"
-        )
-    n = len(genes)
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        r = centered[i + 1 :] @ centered[i] / (norms[i + 1 :] * norms[i])
+    def __init__(self, values: np.ndarray, metric: str):
+        if metric == EUCLIDEAN:
+            self.rows, self.norms = values, None
+        elif metric == PEARSON:
+            self.rows = values - values.mean(axis=1, keepdims=True)
+            self.norms = np.sqrt((self.rows * self.rows).sum(axis=1))
+        else:
+            raise ValidationError(f"unknown expression metric {metric!r}")
+
+    def raw_distances(self, i: int, block: "PreparedRows", start: int = 0) -> np.ndarray:
+        """Raw distances from row ``i`` to each row of ``block`` from ``start`` on:
+        Euclidean, or Pearson's (1 - r) / 2 with r = 0 where either row is flat.
+
+        ``block`` must be prepared for the same metric.  The Pearson
+        numerators are one matrix-vector product over exactly those rows.
+        """
+        rows, x = block.rows[start:], self.rows[i]
+        if self.norms is None:
+            diff = rows - x
+            return np.sqrt((diff * diff).sum(axis=1))
+        denom = block.norms[start:] * self.norms[i]
+        r = np.divide(rows @ x, denom, out=np.zeros(len(rows)), where=denom > 0.0)
         np.clip(r, -1.0, 1.0, out=r)
-        d[i, i + 1 :] = (1.0 - r) / 2.0
-    return d + d.T
+        return (1.0 - r) / 2.0
 
 
 def expression_distance_matrix(m: ExpressionMatrix, metric: str = EUCLIDEAN) -> DistanceMatrix:
@@ -206,23 +209,30 @@ def expression_distance_matrix(m: ExpressionMatrix, metric: str = EUCLIDEAN) -> 
 
     ``euclidean`` divides by the dataset's maximum off-diagonal distance so
     at least one pair sits at 1; ``pearson`` maps correlation r to
-    (1 - r) / 2.  Each entry depends only on its own gene pair, so row-block
-    parallel fills cannot change the result.
+    (1 - r) / 2 and rejects a flat gene.  Row i's upper triangle is one
+    ``PreparedRows.raw_distances`` call against rows i+1 onwards, mirrored
+    into the lower triangle, so the matrix is exactly symmetric.
     """
     if len(m.genes) < 2:
         raise ValidationError("need at least 2 genes for a distance matrix")
+    prep = PreparedRows(m.values, metric)
+    flat = [] if prep.norms is None else np.flatnonzero(prep.norms == 0.0)
+    if len(flat):
+        raise DegenerateError(
+            f"gene {m.genes[flat[0]]!r} has zero variance; Pearson distance undefined"
+        )
+    n = len(m.genes)
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1 :] = prep.raw_distances(i, prep, i + 1)
+    d = d + d.T
     if metric == EUCLIDEAN:
-        d = _pairwise_euclidean(m.values)
         peak = d.max()
         if peak == 0.0:
             raise DegenerateError(
                 "all expression rows identical; cannot normalize euclidean distances"
             )
         d /= peak
-    elif metric == PEARSON:
-        d = _pairwise_pearson(m.values, m.genes)
-    else:
-        raise ValidationError(f"unknown expression metric {metric!r}")
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(m.genes, d)
 

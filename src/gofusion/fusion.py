@@ -23,9 +23,10 @@ from .clustering import PAM_BUILD, Cluster, Partition, cluster_a
 from .errors import ConfigError
 from .expression import (
     EUCLIDEAN,
-    PEARSON,
+    METRICS,
     DistanceMatrix,
     ExpressionMatrix,
+    PreparedRows,
     expression_distance_matrix,
 )
 from .metrics import semantic_compactness
@@ -131,30 +132,22 @@ def _centroid_assign(
     """Attach held-out genes to the cluster with the nearest expression
     centroid (arithmetic mean of member vectors), ties to the lowest index.
 
+    Each held-out gene's raw distances to all centroids come from one
+    ``PreparedRows.raw_distances`` call, the formula the expression matrix
+    uses; Euclidean distances are not normalized here.  A flat Pearson
+    centroid sits at 0.5 from every gene.
+
     This is deliberately centroid-based, unlike the medoid-based B
     assignment used for the final partition; both paths exist on purpose.
     """
     idx = {g: i for i, g in enumerate(expr.genes)}
-    centroids = []
-    for cl in part.clusters:
-        rows = expr.values[sorted(idx[g] for g in cl.members_a)]
-        centroids.append(rows.mean(axis=0))
-    cent = np.vstack(centroids)
+    members = [sorted(idx[g] for g in cl.members_a) for cl in part.clusters]
+    means = [expr.values[rows].mean(axis=0) for rows in members]
+    centroids = PreparedRows(np.vstack(means), metric)
+    held = PreparedRows(expr.values[[idx[g] for g in held_out]], metric)
     assigned: list[set[str]] = [set() for _ in part.clusters]
-    for g in held_out:
-        x = expr.values[idx[g]]
-        if metric == EUCLIDEAN:
-            dist = np.sqrt(((cent - x) ** 2).sum(axis=1))
-        elif metric == PEARSON:
-            xc = x - x.mean()
-            cc = cent - cent.mean(axis=1, keepdims=True)
-            denom = np.sqrt((xc * xc).sum()) * np.sqrt((cc * cc).sum(axis=1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = np.where(denom > 0.0, cc @ xc / np.where(denom > 0, denom, 1.0), 0.0)
-            dist = (1.0 - np.clip(r, -1.0, 1.0)) / 2.0
-        else:
-            raise ConfigError(f"unknown expression metric {metric!r}")
-        assigned[int(dist.argmin())].add(g)
+    for j, g in enumerate(held_out):
+        assigned[int(held.raw_distances(j, centroids).argmin())].add(g)
     clusters = tuple(
         Cluster(cl.medoid, cl.members_a, frozenset(assigned[i]))
         for i, cl in enumerate(part.clusters)
@@ -202,6 +195,8 @@ def tune_gamma(
         raise ConfigError(f"grid_step must lie in (0, 1], got {grid_step}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown expression metric {metric!r}")
     steps = round(1.0 / grid_step)
     if abs(steps * grid_step - 1.0) > 1e-9:
         raise ConfigError(f"grid_step {grid_step} does not divide 1 evenly")
@@ -222,20 +217,24 @@ def tune_gamma(
         raise ConfigError("precomputed matrices must cover expr.genes in order")
 
     grid = tuple(i / steps for i in range(steps + 1))
-    blended = [combine_gamma(d_e, d_go, g) for g in grid]
 
-    def cell(g_idx: int, run: int) -> float:
+    def cell(blended: DistanceMatrix, g_idx: int, run: int) -> float:
         rng = np.random.default_rng(np.random.SeedSequence((seed, g_idx, run)))
         perm = rng.permutation(n)
         kept = sorted(int(i) for i in perm[:n1])
         held = sorted(int(i) for i in perm[n1:])
         kept_genes = [genes[i] for i in kept]
         held_genes = [genes[i] for i in held]
-        part = cluster_a(blended[g_idx].restrict(kept_genes), k, seeding)
+        part = cluster_a(blended.restrict(kept_genes), k, seeding)
         part = _centroid_assign(expr, part, held_genes, metric)
         return semantic_compactness(part, d_go)
 
-    sc_runs = tuple(tuple(cell(g, r) for r in range(runs)) for g in range(len(grid)))
+    # built lazily: one blended matrix is alive at a time, not one per gamma
+    blends = (combine_gamma(d_e, d_go, g) for g in grid)
+    sc_runs = tuple(
+        tuple(cell(blended, g_idx, r) for r in range(runs))
+        for g_idx, blended in enumerate(blends)
+    )
     sc_curve = tuple(float(np.mean(rs)) for rs in sc_runs)
     best_gamma = grid[int(np.argmin(sc_curve))]
     return TuningReport(

@@ -32,24 +32,20 @@ def semantic_compactness(p: Partition, d_go: DistanceMatrix) -> float:
     """Mean over B-origin genes of the minimum semantic distance to an
     A-origin co-cluster member.
 
-    B-origin genes whose cluster has no A-origin member cannot be scored;
-    they are skipped and logged.  Raises if nothing is scorable.
+    Every cluster has an A-origin member (its medoid), so every B-origin
+    gene is scored: one gather of the B x A distances, masked to pairs in
+    the same cluster, then a row minimum; the mean runs over B genes in
+    cluster order, sorted within each cluster.  Raises if the partition has
+    no B-origin gene.
     """
-    scores: list[float] = []
-    skipped = 0
-    for cl in p.clusters:
-        a_idx = [d_go.index_of(g) for g in sorted(cl.members_a)]
-        for g in sorted(cl.members_b):
-            if not a_idx:
-                skipped += 1
-                continue
-            row = d_go.d[d_go.index_of(g), a_idx]
-            scores.append(float(row.min()))
-    if skipped:
-        logger.debug("semantic_compactness skipped %d genes without A co-members", skipped)
-    if not scores:
+    index, clusters = d_go.index_of, list(enumerate(p.clusters))
+    a = [(ci, index(g)) for ci, cl in clusters for g in sorted(cl.members_a)]
+    b = [(ci, index(g)) for ci, cl in clusters for g in sorted(cl.members_b)]
+    if not b:
         raise AlignmentError("no assigned gene had an annotated co-cluster member")
-    return float(np.mean(scores))
+    (a_cluster, a_idx), (b_cluster, b_idx) = np.array(a).T, np.array(b).T
+    same = b_cluster[:, None] == a_cluster
+    return float(np.where(same, d_go.d[np.ix_(b_idx, a_idx)], np.inf).min(axis=1).mean())
 
 
 def bhi(p: Partition, c: AnnotationCorpus) -> float:

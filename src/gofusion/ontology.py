@@ -2,23 +2,20 @@
 
 Only the OBO 1.2 tag subset needed downstream is interpreted: ``id``,
 ``name``, ``namespace``, ``is_a``, ``relationship: part_of`` and
-``is_obsolete`` inside ``[Term]`` stanzas.  Everything else is skipped
-(warned about in strict mode).  Ancestry follows is_a and part_of edges
-by default, which is how mainstream GO tooling propagates annotations;
-an is_a-only restriction is available on the closure queries.
+``is_obsolete`` inside ``[Term]`` stanzas.  Everything else is skipped.
+Ancestry follows is_a and part_of edges by default, which is how
+mainstream GO tooling propagates annotations; an is_a-only restriction is
+available on the closure queries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import re
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError, UnknownIdError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 #: A GO accession: "GO:" followed by exactly seven decimal digits.
 TermId = str
@@ -174,11 +171,11 @@ class Ontology:
             raise UnknownIdError(f"no root for namespace {namespace!r}") from None
 
 
-def parse_obo(data: bytes | str, strict: bool = False) -> Ontology:
+def parse_obo(data: bytes | str) -> Ontology:
     """Parse OBO 1.2 flat text into an :class:`Ontology`.
 
     Accepts UTF-8 bytes or text with LF or CRLF endings.  Unknown stanzas
-    and tags are skipped; with ``strict=True`` they are logged as warnings.
+    and tags are skipped.
     Obsolete terms are retained with their parent edges dropped.
     """
     if isinstance(data, bytes):
@@ -224,8 +221,6 @@ def parse_obo(data: bytes | str, strict: bool = False) -> Ontology:
             in_term = line == "[Term]"
             cur_id, cur_name, cur_ns = None, "", ""
             cur_parents, cur_obsolete = set(), False
-            if strict and not in_term:
-                logger.warning("obo line %d: skipping stanza %s", lineno, line)
             continue
         if not in_term:
             continue
@@ -253,12 +248,8 @@ def parse_obo(data: bytes | str, strict: bool = False) -> Ontology:
                 if not is_term_id(parts[1]):
                     raise ParseError(f"malformed part_of target {value!r}", lineno)
                 cur_parents.add((parts[1], PART_OF))
-            elif strict:
-                logger.warning("obo line %d: skipping relationship %r", lineno, value)
         elif tag == "is_obsolete":
             cur_obsolete = value == "true"
-        elif strict:
-            logger.warning("obo line %d: skipping tag %r", lineno, tag)
     flush(lineno + 1)
 
     dangling = sorted(

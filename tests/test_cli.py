@@ -212,6 +212,32 @@ class TestStagedSubcommands:
         assert metrics["bhi"] is not None
         assert metrics["recall"] is not None
 
+    def test_eval_recall_scores_b_genes_without_inferred_rows(self, data_dir, tmp_path):
+        run, truth = tmp_path / "run", str(data_dir / "truth.tsv")
+        argv = pipeline_args(
+            data_dir, run, "--balancing", "fixed_gamma", "--gamma", "0.5",
+            "--alpha", "1e-4", "--truth", truth,
+        )
+        assert main(argv) == 0
+        rows = [ln.split("\t") for ln in (run / "partition.tsv").read_text().splitlines()[1:]]
+        b_genes = {r[0] for r in rows if r[2] == "B"}
+        inferred_rows = (run / "inferred.tsv").read_text().splitlines()[1:]
+        inferred = {ln.split("\t")[0] for ln in inferred_rows}
+        assert inferred < b_genes  # some cluster with B genes passed no term
+        res = run_cli(
+            "eval",
+            "--obo", str(data_dir / "go.obo"),
+            "--annotations", str(data_dir / "annotations.tsv"),
+            "--partition", str(run / "partition.tsv"),
+            "--truth", truth,
+            "--inferred", str(run / "inferred.tsv"),
+            "--out-dir", str(tmp_path / "eval"),
+        )
+        assert res.returncode == 0, res.stderr
+        evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())["recall"]
+        piped = json.loads((run / "metrics.json").read_text())["recall"]
+        assert evaluated == pytest.approx(piped)
+
     def test_tune_gamma_subcommand(self, data_dir, tmp_path):
         out = tmp_path / "tune"
         rc = main(
@@ -293,6 +319,17 @@ class TestExitCodes:
         if content is not None:
             path.write_bytes(content)
         res = run_cli("pipeline", flag, str(path), "--out-dir", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "ConfigError" in res.stderr
+
+    @pytest.mark.parametrize(
+        "config", [{"k": [1]}, {"gamma": {}}, {"obo": 5}], ids=["int", "float", "path"]
+    )
+    def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, config):
+        manifest = tmp_path / "run_manifest.json"
+        manifest.write_text(json.dumps({"config": config}))
+        res = run_cli("pipeline", "--from-manifest", str(manifest), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "ConfigError" in res.stderr

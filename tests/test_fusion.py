@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from gofusion.clustering import Cluster, Partition
 from gofusion.errors import AlignmentError, ConfigError
-from gofusion.expression import DistanceMatrix
+from gofusion.expression import DistanceMatrix, ExpressionMatrix
 from gofusion.fusion import (
     TuningReport,
+    _centroid_assign,
     combine_gamma,
     equalize_values,
     percentile_equalize,
@@ -171,3 +173,65 @@ def test_best_gamma_tie_breaks_to_smallest():
     curve = (0.4, 0.2, 0.2, 0.3)
     grid = (0.0, 0.25, 0.5, 0.75)
     assert grid[int(np.argmin(curve))] == 0.25
+
+
+class TestCentroidAssign:
+    """``_centroid_assign`` against distances computed from scratch."""
+
+    @staticmethod
+    def reference(expr, part, held_out, metric):
+        rows = dict(zip(expr.genes, expr.values))
+        centroids = [
+            np.mean([rows[g] for g in sorted(cl.members_a)], axis=0) for cl in part.clusters
+        ]
+
+        def dist(x, c):
+            if metric == "euclidean":
+                return np.linalg.norm(x - c)
+            if np.ptp(x) == 0.0 or np.ptp(c) == 0.0:
+                return 0.5  # r is taken as 0 when either side is flat
+            return (1.0 - np.corrcoef(x, c)[0, 1]) / 2.0
+
+        # np.argmin returns the first minimum: ties go to the lowest cluster index
+        return {g: int(np.argmin([dist(rows[g], c) for c in centroids])) for g in held_out}
+
+    @staticmethod
+    def partition(clusters):
+        return Partition(
+            tuple(Cluster(members[0], frozenset(members)) for members in clusters),
+            k=len(clusters),
+            total_cost=0.0,
+        )
+
+    @pytest.mark.parametrize("metric", ["euclidean", "pearson"])
+    def test_matches_reference(self, metric):
+        rng = np.random.default_rng(3)
+        genes = tuple(f"g{i:02d}" for i in range(40))
+        expr = ExpressionMatrix(genes, tuple(f"c{j}" for j in range(6)), rng.normal(size=(40, 6)))
+        part = self.partition([genes[i : i + 6] for i in range(0, 30, 6)])
+        held = list(genes[30:])
+        got = _centroid_assign(expr, part, held, metric)
+        assert got.labels("b") == self.reference(expr, part, held, metric)
+        assert got.labels("a") == part.labels("a")
+
+    @pytest.mark.parametrize(
+        "metric, centroids, gene, expected",
+        [
+            # exact tie at distance 1: the lower index wins
+            ("euclidean", [(5, 5, 5, 5), (0, 0, 0, 0), (2, 0, 0, 0)], (1, 0, 0, 0), 1),
+            # exact tie at r = 0 between two centroids and a flat one
+            ("pearson", [(-1, 1, -1, 1), (1, 1, -1, -1), (3, 3, 3, 3), (1, -1, -1, 1)],
+             (1, -1, 1, -1), 1),
+            # the flat centroid sits at 0.5, nearer than a weakly anti-correlated one
+            ("pearson", [(4, 3, 2, 1), (1, 2, 0, 1), (5, 5, 5, 5)], (1, 2, 3, 4), 2),
+        ],
+        ids=["euclidean-tie", "pearson-tie-with-flat", "pearson-flat-at-half"],
+    )
+    def test_ties_and_flat_centroids(self, metric, centroids, gene, expected):
+        genes = tuple(f"a{i}" for i in range(len(centroids))) + ("h",)
+        values = np.array([*centroids, gene], dtype=float)
+        expr = ExpressionMatrix(genes, ("c1", "c2", "c3", "c4"), values)
+        part = self.partition([(g,) for g in genes[:-1]])
+        got = _centroid_assign(expr, part, ["h"], metric)
+        assert got.labels("b") == {"h": expected}
+        assert self.reference(expr, part, ["h"], metric) == {"h": expected}
