@@ -196,10 +196,16 @@ def _coerce(key: str, value) -> object:
         if isinstance(value, tuple):
             return value
         return tuple(v.strip() for v in str(value).split(",") if v.strip())
+    noun = {int: "an integer", float: "a number"}.get(kind, "a path")
+    # int() and float() accept a JSON true and int() truncates 7.9: either
+    # would replay another run than the manifest names
+    if kind in (int, float) and (
+        isinstance(value, bool) or kind is int and isinstance(value, float)
+    ):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):  # TypeError: a manifest value of another JSON type
-        noun = {int: "an integer", float: "a number"}.get(kind, "a path")
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 

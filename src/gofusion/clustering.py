@@ -90,25 +90,37 @@ def initial_medoid(d: np.ndarray) -> int:
 
 
 def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
-    """Greedy growth from the initial medoid to k medoids."""
+    """Greedy growth from the initial medoid to k medoids.
+
+    Each gene's distance to its nearest medoid is lowered in place as
+    medoids are added.  ``pam_build`` sums gains over the non-medoid rows
+    only: a medoid row adds an exact +0.0 to a column sum whose terms are
+    all >= 0, so leaving it out changes no bit.  ``literal`` terms can be
+    negative, so its medoid rows stay in the sum as zeros.
+    """
     n = d.shape[0]
+    if seeding not in SEEDINGS:
+        raise ConfigError(f"unknown seeding mode {seeding!r}")
+    if not 1 <= k <= n:
+        raise ConfigError(f"k={k} out of range for {n} genes")
     medoids = [initial_medoid(d)]
+    nearest = d[:, medoids[0]].copy()
+    in_gamma = np.zeros(n, dtype=bool)
+    in_gamma[medoids[0]] = True
     while len(medoids) < k:
-        nearest = d[:, medoids].min(axis=1)
-        in_gamma = np.zeros(n, dtype=bool)
-        in_gamma[medoids] = True
         if seeding == PAM_BUILD:
-            gains = np.maximum(nearest[:, None] - d, 0.0)
-            gains[in_gamma, :] = 0.0
+            rest = ~in_gamma
+            gains = np.maximum(nearest[rest, None] - d[rest], 0.0)
             scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
-        elif seeding == LITERAL:
+        else:
             diff = d - nearest[:, None]
             diff[in_gamma, :] = 0.0
             scores = diff.sum(axis=0) + nearest
-        else:
-            raise ConfigError(f"unknown seeding mode {seeding!r}")
         scores[in_gamma] = -np.inf
-        medoids.append(int(scores.argmax()))
+        x = int(scores.argmax())
+        medoids.append(x)
+        in_gamma[x] = True
+        np.minimum(nearest, d[:, x], out=nearest)
     return medoids
 
 
@@ -124,42 +136,63 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
     candidate that strictly lowers the cost replaces the medoid, and the
     scan moves on to the next medoid.  Passes repeat until one completes
     with no accepted swap, so the result cannot be improved by any single
-    exchange.  Nearest/second-nearest medoid distances are cached per
-    configuration; the accepted swaps are identical to evaluating every
-    pair from scratch.
+    exchange.  ``d`` is not modified.
+
+    The medoid and candidate columns of ``d`` are copied once, each gene
+    to a slot; an accepted swap m -> x overwrites m's slot with x's column
+    and x's slot with m's.  A candidate's cost is summed down its own
+    column, row by row, so it does not depend on the slot order, and the
+    first improving candidate is the smallest gene index among the
+    improving slots.  A medoid that found no improving candidate is
+    skipped until the next accepted swap: its scan depends only on the
+    medoid set, so a repeat would find none again.  The accepted swaps
+    are identical to evaluating every pair from scratch.
     """
     n = d.shape[0]
-    med_set = set(medoids)
+    meds = sorted(medoids)
+    slot_of = {m: s for s, m in enumerate(meds)}
+    med_cols = d[:, meds]
+    in_gamma = np.zeros(n, dtype=bool)
+    in_gamma[meds] = True
+    cand = np.flatnonzero(~in_gamma)
+    cand_cols = d[:, cand]
+    buf = np.empty_like(cand_cols)
+    rows = np.arange(n)
 
     def tables():
-        meds_sorted = sorted(med_set)
-        sub = d[:, meds_sorted]
-        nearest = sub.min(axis=1)
-        if len(meds_sorted) > 1:
-            second = np.partition(sub, 1, axis=1)[:, 1]
-        else:
-            second = np.full(n, np.inf)
-        mask = np.zeros(n, dtype=bool)
-        mask[meds_sorted] = True
-        cand = np.nonzero(~mask)[0]
-        return nearest, second, cand
+        near_slot = med_cols.argmin(axis=1)
+        nearest = med_cols[rows, near_slot]
+        med_cols[rows, near_slot] = np.inf
+        second = med_cols.min(axis=1)  # inf when k = 1
+        med_cols[rows, near_slot] = nearest
+        return nearest, second, float(nearest.sum())
 
+    nearest, second, current = tables()
+    settled: set[int] = set()  # medoids with no improving candidate
     changed = True
     while changed:
         changed = False
-        nearest, second, cand = tables()
-        current = float(nearest.sum())
-        for m in sorted(med_set):
-            rest_min = np.where(d[:, m] == nearest, second, nearest)
-            costs = np.minimum(rest_min[:, None], d[:, cand]).sum(axis=0)
-            better = np.nonzero(costs < current)[0]
-            if better.size:
-                med_set.remove(m)
-                med_set.add(int(cand[better[0]]))
-                changed = True
-                nearest, second, cand = tables()
-                current = float(nearest.sum())
-    return sorted(med_set)
+        for m in sorted(slot_of):
+            if m in settled:
+                continue
+            slot = slot_of[m]
+            rest_min = np.where(med_cols[:, slot] == nearest, second, nearest)
+            np.minimum(rest_min[:, None], cand_cols, out=buf)
+            better = np.flatnonzero(np.add.reduce(buf, axis=0) < current)
+            if not better.size:
+                settled.add(m)
+                continue
+            s = better[cand[better].argmin()]
+            x = int(cand[s])
+            del slot_of[m]
+            slot_of[x] = slot
+            med_cols[:, slot] = d[:, x]
+            cand_cols[:, s] = d[:, m]
+            cand[s] = m
+            settled.clear()
+            changed = True
+            nearest, second, current = tables()
+    return sorted(slot_of)
 
 
 def cluster_a(
@@ -171,11 +204,6 @@ def cluster_a(
     tie resolves to the smallest gene index, so the result is a pure
     function of the input matrix.
     """
-    n = len(d_gamma.genes)
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range for {n} genes")
-    if seeding not in SEEDINGS:
-        raise ConfigError(f"unknown seeding mode {seeding!r}")
     d = d_gamma.d
     if np.isnan(d).any():
         raise ValidationError("distance matrix contains NaN")

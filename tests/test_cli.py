@@ -324,15 +324,27 @@ class TestExitCodes:
         assert "ConfigError" in res.stderr
 
     @pytest.mark.parametrize(
-        "config", [{"k": [1]}, {"gamma": {}}, {"obo": 5}], ids=["int", "float", "path"]
+        "config, message",
+        [
+            ({"k": [1]}, "k must be an integer"),
+            ({"gamma": {}}, "gamma must be a number"),
+            ({"obo": 5}, "obo must be a path"),
+            ({"k": 7.9}, "k must be an integer, got 7.9"),
+            ({"k": 7.0}, "k must be an integer, got 7.0"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"alpha": False}, "alpha must be a number, got False"),
+        ],
+        ids=["int", "float", "path", "int-given-float", "int-given-whole-float",
+             "int-given-bool", "float-given-bool"],
     )
-    def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, config):
+    def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, config, message):
         manifest = tmp_path / "run_manifest.json"
         manifest.write_text(json.dumps({"config": config}))
         res = run_cli("pipeline", "--from-manifest", str(manifest), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "ConfigError" in res.stderr
+        assert message in res.stderr
 
     @pytest.mark.parametrize(
         "row",

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from gofusion.clustering import (
+    LITERAL,
+    PAM_BUILD,
     Cluster,
     Partition,
     assign_b,
     assigned_subpartition,
     build_medoids,
     cluster_a,
+    initial_medoid,
     partition_cost,
     read_partition_tsv,
     swap_refine,
@@ -119,6 +122,96 @@ class TestSwap:
         assert p1 == p2
 
 
+def reference_build(d, k, seeding):
+    """Greedy build that recomputes every table from scratch each round."""
+    n = d.shape[0]
+    medoids = [initial_medoid(d)]
+    while len(medoids) < k:
+        nearest = d[:, medoids].min(axis=1)
+        in_gamma = np.zeros(n, dtype=bool)
+        in_gamma[medoids] = True
+        if seeding == PAM_BUILD:
+            gains = np.maximum(nearest[:, None] - d, 0.0)
+            gains[in_gamma, :] = 0.0
+            scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
+        else:
+            diff = d - nearest[:, None]
+            diff[in_gamma, :] = 0.0
+            scores = diff.sum(axis=0) + nearest
+        scores[in_gamma] = -np.inf
+        medoids.append(int(scores.argmax()))
+    return medoids
+
+
+def reference_swap(d, medoids):
+    """First-improvement swap passes, every table rebuilt after each swap."""
+    n = d.shape[0]
+    med_set = set(medoids)
+
+    def tables():
+        meds = sorted(med_set)
+        sub = d[:, meds]
+        nearest = sub.min(axis=1)
+        second = np.partition(sub, 1, axis=1)[:, 1] if len(meds) > 1 else np.full(n, np.inf)
+        mask = np.zeros(n, dtype=bool)
+        mask[meds] = True
+        return nearest, second, np.nonzero(~mask)[0]
+
+    changed = True
+    while changed:
+        changed = False
+        nearest, second, cand = tables()
+        current = float(nearest.sum())
+        for m in sorted(med_set):
+            rest_min = np.where(d[:, m] == nearest, second, nearest)
+            costs = np.minimum(rest_min[:, None], d[:, cand]).sum(axis=0)
+            better = np.nonzero(costs < current)[0]
+            if better.size:
+                med_set.remove(m)
+                med_set.add(int(cand[better[0]]))
+                changed = True
+                nearest, second, cand = tables()
+                current = float(nearest.sum())
+    return sorted(med_set)
+
+
+def oracle_matrix(rng, n, kind):
+    """Symmetric zero-diagonal [0, 1] matrix: uniform, quantized to a few
+    levels (many ties), or from points with duplicates (zero off-diagonal)."""
+    if kind == "points":
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        return d / d.max() if d.max() > 0 else d
+    iu = np.triu_indices(n, k=1)
+    vals = rng.uniform(0.0, 1.0, size=len(iu[0]))
+    if kind == "quantized":
+        vals = np.round(vals * 3) / 3
+    d = np.zeros((n, n))
+    d[iu] = vals
+    return d + d.T
+
+
+class TestOracle:
+    """The incremental build and swap return exactly what the from-scratch
+    versions above return."""
+
+    def test_same_medoids_as_reference(self):
+        rng = np.random.default_rng(2019)
+        for kind in ("uniform", "quantized", "points"):  # 600 matrices in all
+            for _ in range(200):
+                n = int(rng.integers(2, 16))
+                d = oracle_matrix(rng, n, kind)
+                for k in sorted({1, n - 1, n, int(rng.integers(1, n + 1))}):
+                    for seeding in (PAM_BUILD, LITERAL):
+                        built = build_medoids(d, k, seeding)
+                        assert built == reference_build(d, k, seeding)
+                        d_before = d.copy()
+                        assert swap_refine(d, built) == reference_swap(d, built)
+                        assert np.array_equal(d, d_before)
+                    start = sorted(rng.choice(n, size=k, replace=False).tolist())
+                    assert swap_refine(d, start) == reference_swap(d, start)
+
+
 class TestValidation:
     def test_k_out_of_range(self):
         dm = dm_from([0.0, 1.0, 2.0])
@@ -134,6 +227,15 @@ class TestValidation:
     def test_bad_seeding(self):
         with pytest.raises(ConfigError):
             cluster_a(dm_from([0.0, 1.0, 2.0]), k=2, seeding="random")
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_build_k_out_of_range(self, k):
+        with pytest.raises(ConfigError, match="out of range"):
+            build_medoids(dm_from([0.0, 1.0, 2.0]).d, k)
+
+    def test_build_bad_seeding(self):
+        with pytest.raises(ConfigError, match="unknown seeding"):
+            build_medoids(dm_from([0.0, 1.0, 2.0]).d, 1, "bogus")
 
     def test_medoid_must_be_member(self):
         with pytest.raises(ValidationError):
