@@ -76,7 +76,6 @@ def build_corpus(
     if not direct:
         raise EmptyCorpusError("no annotated genes retained")
     root = o.namespace_root(namespace)
-    anc_cache: dict[TermId, set[TermId]] = {}
     prop: dict[TermId, int] = {}
     root_only = 0
     for gene in sorted(direct):
@@ -85,10 +84,7 @@ def build_corpus(
             raise EmptyCorpusError(f"gene {gene!r} has an empty term set")
         expanded: set[TermId] = set()
         for t in terms:
-            hit = anc_cache.get(t)
-            if hit is None:
-                hit = anc_cache[t] = o.ancestors(t)
-            expanded |= hit
+            expanded |= o.ancestors(t)
         for t in expanded:
             prop[t] = prop.get(t, 0) + 1
         if terms == {root}:

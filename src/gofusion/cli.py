@@ -43,6 +43,7 @@ from .enrichment import (
     enrich_partition,
     export_term_graph,
     infer_functions,
+    read_inferred_tsv,
     write_enrichment_tsv,
     write_inferred_tsv,
 )
@@ -192,17 +193,18 @@ def _coerce(key: str, value) -> object:
     if value is None:
         return None
     kind = _OPTION_TYPES[key]
-    if kind is tuple:
-        if isinstance(value, tuple):
-            return value
-        return tuple(v.strip() for v in str(value).split(",") if v.strip())
-    noun = {int: "an integer", float: "a number"}.get(kind, "a path")
-    # int() and float() accept a JSON true and int() truncates 7.9: either
-    # would replay another run than the manifest names
-    if kind in (int, float) and (
-        isinstance(value, bool) or kind is int and isinstance(value, float)
+    noun = {int: "an integer", float: "a number", Path: "a path"}.get(kind, "a string")
+    # a manifest holds JSON values: int() and float() accept a JSON true,
+    # int() truncates 7.9 and str() takes anything; each would replay
+    # another run than the manifest names
+    if (
+        isinstance(value, bool)
+        or kind is int and isinstance(value, float)
+        or kind in (str, tuple) and not isinstance(value, str)
     ):
         raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    if kind is tuple:
+        return tuple(v.strip() for v in value.split(",") if v.strip())
     try:
         return kind(value)
     except (TypeError, ValueError):  # TypeError: a manifest value of another JSON type
@@ -457,6 +459,23 @@ def _recall(
         report.recall_no_popular = recall_inferred(scored, truth, exclude=popular)
 
 
+def _score(
+    report: MetricReport, p: Partition, scope: AnnotationCorpus, d: DistanceMatrix
+) -> None:
+    """Set the BHI (over ``scope``), BC and semantic compactness (over ``d``)
+    of ``p``.  Only the B genes ``d`` covers count; with none, no compactness."""
+    covered = set(d.genes)
+    p = Partition(
+        tuple(Cluster(cl.medoid, cl.members_a, cl.members_b & covered) for cl in p.clusters),
+        p.k,
+        p.total_cost,
+    )
+    report.bhi = bhi(p, scope)
+    report.bc = bc(p, d)
+    if p.genes_b():
+        report.sc = semantic_compactness(p, d)
+
+
 # -- pipeline ------------------------------------------------------------------
 
 
@@ -531,21 +550,13 @@ def run_pipeline(cfg: PipelineConfig) -> None:
 
         stage = "metrics"
         report = MetricReport()
-        sub = assigned_subpartition(part)
+        scope, d_scored = corpus, d_go
         if truth is not None:
-            merged = _merged_corpus(corpus, truth, o, cfg.namespace)
-            all_genes = list(expr_a.genes) + [g for g in expr_b.genes if g in merged.direct]
-            d_go_eval = semantic_distance_matrix(o, merged, all_genes, cfg.similarity)
-            report.bhi = bhi(sub, merged)
-            report.bc = bc(sub, d_go_eval)
-            scorable = {g for cl in sub.clusters for g in cl.members_b} & set(merged.direct)
-            if scorable:
-                report.sc = semantic_compactness(_restrict_b(sub, scorable), d_go_eval)
-            _recall(cfg, report, inferred, truth, merged, o)
-        else:
-            annotated = _restrict_b(sub, set())
-            report.bhi = bhi(annotated, corpus)
-            report.bc = bc(annotated, d_go)
+            scope = _merged_corpus(corpus, truth, o, cfg.namespace)
+            genes = list(expr_a.genes) + [g for g in expr_b.genes if g in scope.direct]
+            d_scored = semantic_distance_matrix(o, scope, genes, cfg.similarity)
+            _recall(cfg, report, inferred, truth, scope, o)
+        _score(report, assigned_subpartition(part), scope, d_scored)
         _write(out, "metrics.json", report.to_json())
         stages[stage] = "ok"
         finish_manifest()
@@ -562,14 +573,6 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         )
         finish_manifest()
         raise
-
-
-def _restrict_b(p: Partition, keep: set[str]) -> Partition:
-    clusters = tuple(
-        Cluster(cl.medoid, cl.members_a, frozenset(cl.members_b & keep))
-        for cl in p.clusters
-    )
-    return Partition(clusters, p.k, p.total_cost)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -651,58 +654,14 @@ def cmd_eval(args: argparse.Namespace) -> None:
     truth = _load_truth(cfg, o)
     scope = _merged_corpus(corpus, truth, o, cfg.namespace) if truth else corpus
     genes = sorted((part.genes_a() | part.genes_b()) & set(scope.direct))
-    d_go_eval = semantic_distance_matrix(o, scope, genes, cfg.similarity)
-    evaluable = _restrict_b(part, set(scope.direct))
-    report.bhi = bhi(evaluable, scope)
-    report.bc = bc(evaluable, d_go_eval)
-    if any(cl.members_b & set(scope.direct) for cl in part.clusters):
-        report.sc = semantic_compactness(evaluable, d_go_eval)
+    _score(report, part, scope, semantic_distance_matrix(o, scope, genes, cfg.similarity))
     if cfg.against is not None:
         other = read_partition_tsv(_read(cfg, "against"))
         report.fm = fowlkes_mallows(part.labels(), other.labels()).value
     if cfg.inferred is not None and truth is not None:
-        inferred = _read_inferred(_read(cfg, "inferred"), part.labels("b"))
+        inferred = read_inferred_tsv(_read(cfg, "inferred"), part.labels("b"))
         _recall(cfg, report, inferred, truth, scope, o)
     _write(cfg.out_dir, "metrics.json", report.to_json())
-
-
-def _read_inferred(text: str, b_clusters: dict[str, int]) -> list[InferredAnnotation]:
-    """The records of ``inferred.tsv``, one per gene, sorted by gene.
-
-    ``b_clusters`` maps the partition's B genes to their clusters; a B gene
-    without rows (its cluster passed no term) gets an empty, unenriched
-    record, as the pipeline gives it, so recall scores it 0.
-    """
-    per_gene: dict[str, list[tuple[str, float]]] = {}
-    cluster_of: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("gene_id\t"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataError(f"inferred.tsv line {lineno}: expected 4 columns")
-        gene, term, p, ci = fields
-        try:
-            p_value, cluster_index = float(p), int(ci)
-        except ValueError:
-            raise DataError(
-                f"inferred.tsv line {lineno}: bad p-value {p!r} or cluster index {ci!r}"
-            ) from None
-        per_gene.setdefault(gene, []).append((term, p_value))
-        cluster_of[gene] = cluster_index
-    for gene, cluster_index in b_clusters.items():
-        per_gene.setdefault(gene, [])
-        cluster_of.setdefault(gene, cluster_index)
-    return [
-        InferredAnnotation(
-            gene=g,
-            terms=tuple(sorted(per_gene[g], key=lambda tp: (tp[1], tp[0]))),
-            cluster_index=cluster_of[g],
-            enriched=bool(per_gene[g]),
-        )
-        for g in sorted(per_gene)
-    ]
 
 
 def cmd_pipeline(args: argparse.Namespace) -> None:

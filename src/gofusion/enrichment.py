@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, GeneId
 from .clustering import Cluster, Partition
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .ontology import Ontology, TermId
 
 CORRECTION_NONE = "none"
@@ -143,14 +143,12 @@ def infer_functions(
     c: AnnotationCorpus,
     alpha: float = 0.05,
     correction: str = CORRECTION_NONE,
-    workers: int = 1,
 ) -> list[InferredAnnotation]:
     """Transfer each cluster's passing terms to its B genes.
 
     Inference is cluster-level: all B genes of a cluster receive the same
     ordered term list.  Clusters without B genes are skipped; clusters with
-    no passing term yield empty, flagged records.  Clusters are tested one
-    after another; ``workers`` is accepted for call compatibility and ignored.
+    no passing term yield empty, flagged records.
     """
     out: list[InferredAnnotation] = []
     for i, cl in enumerate(p.clusters):
@@ -206,6 +204,45 @@ def write_inferred_tsv(inferred: list[InferredAnnotation]) -> str:
         for term, p in rec.terms:
             lines.append(f"{rec.gene}\t{term}\t{p:.10g}\t{rec.cluster_index}")
     return "\n".join(lines) + "\n"
+
+
+def read_inferred_tsv(text: str, b_clusters: dict[GeneId, int]) -> list[InferredAnnotation]:
+    """The records of ``inferred.tsv``, one per gene, sorted by gene.
+
+    ``b_clusters`` maps the partition's B genes to their clusters; a B gene
+    without rows (its cluster passed no term) gets an empty, unenriched
+    record, as ``infer_functions`` gives it, so recall scores it 0.
+    """
+    per_gene: dict[GeneId, list[tuple[TermId, float]]] = {}
+    cluster_of: dict[GeneId, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip() or line.startswith("gene_id\t"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise DataError(f"inferred.tsv line {lineno}: expected 4 columns")
+        gene, term, p, ci = fields
+        try:
+            p_value, cluster_index = float(p), int(ci)
+        except ValueError:
+            raise DataError(
+                f"inferred.tsv line {lineno}: bad p-value {p!r} or cluster index {ci!r}"
+            ) from None
+        per_gene.setdefault(gene, []).append((term, p_value))
+        cluster_of[gene] = cluster_index
+    for gene, cluster_index in b_clusters.items():
+        per_gene.setdefault(gene, [])
+        cluster_of.setdefault(gene, cluster_index)
+    return [
+        InferredAnnotation(
+            gene=g,
+            terms=tuple(sorted(per_gene[g], key=lambda tp: (tp[1], tp[0]))),
+            cluster_index=cluster_of[g],
+            enriched=bool(per_gene[g]),
+        )
+        for g in sorted(per_gene)
+    ]
 
 
 def export_term_graph(

@@ -167,7 +167,6 @@ def tune_gamma(
     metric: str = EUCLIDEAN,
     kind: str = RELEVANCE,
     seeding: str = PAM_BUILD,
-    workers: int = 1,
     d_e: DistanceMatrix | None = None,
     d_go: DistanceMatrix | None = None,
 ) -> TuningReport:
@@ -179,8 +178,7 @@ def tune_gamma(
     distance, and score the held-out genes' semantic compactness.  Cells
     are independent and seeded from (seed, gamma index, run index), so the
     report is reproducible.  The best gamma is the curve's argmin, ties
-    resolved toward the smallest gamma.  Cells run one after another in this
-    process; ``workers`` is accepted for call compatibility and ignored.
+    resolved toward the smallest gamma.
 
     Precomputed ``d_e`` / ``d_go`` matrices over exactly ``expr.genes`` may
     be supplied to avoid recomputation.

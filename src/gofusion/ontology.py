@@ -3,9 +3,8 @@
 Only the OBO 1.2 tag subset needed downstream is interpreted: ``id``,
 ``name``, ``namespace``, ``is_a``, ``relationship: part_of`` and
 ``is_obsolete`` inside ``[Term]`` stanzas.  Everything else is skipped.
-Ancestry follows is_a and part_of edges by default, which is how
-mainstream GO tooling propagates annotations; an is_a-only restriction is
-available on the closure queries.
+Ancestry follows both is_a and part_of edges, which is how mainstream GO
+tooling propagates annotations.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ TERM_ID_RE = re.compile(r"GO:\d{7}$")
 
 IS_A = "is_a"
 PART_OF = "part_of"
-EDGE_KINDS = (IS_A, PART_OF)
 
 NAMESPACES = ("biological_process", "molecular_function", "cellular_component")
 
@@ -66,6 +64,7 @@ class Ontology:
                 self._children[parent].append(term.id)
         for kids in self._children.values():
             kids.sort()
+        self._ancestors: dict[TermId, frozenset[TermId]] = {}
         self.roots = self._find_roots()
         self.topo_order = self._toposort()
         self._check_reachability()
@@ -129,39 +128,35 @@ class Ontology:
             raise UnknownIdError(f"term {t} is obsolete")
         return term
 
-    def ancestors(self, t: TermId, relations: tuple[str, ...] = EDGE_KINDS) -> set[TermId]:
-        """Reflexive transitive parent closure of ``t``.
-
-        ``relations`` restricts the edge kinds followed, e.g. ``("is_a",)``.
-        """
+    def ancestors(self, t: TermId) -> frozenset[TermId]:
+        """Reflexive transitive parent closure of ``t``, found by a DFS the
+        first time it is asked for and kept for later calls."""
+        hit = self._ancestors.get(t)
+        if hit is not None:
+            return hit
         self._live(t)
         seen = {t}
         stack = [t]
         while stack:
             cur = stack.pop()
-            for parent, kind in self.terms[cur].parents:
-                if kind in relations and parent not in seen:
+            for parent, _kind in self.terms[cur].parents:
+                if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        return seen
+        hit = self._ancestors[t] = frozenset(seen)
+        return hit
 
-    def descendants(self, t: TermId, relations: tuple[str, ...] = EDGE_KINDS) -> set[TermId]:
+    def descendants(self, t: TermId) -> set[TermId]:
         """Reflexive transitive child closure of ``t`` (inverse of ancestors)."""
         self._live(t)
-        all_kinds = set(relations) >= set(EDGE_KINDS)
         seen = {t}
         stack = [t]
         while stack:
             cur = stack.pop()
             for child in self._children[cur]:
-                if child in seen:
-                    continue
-                if not all_kinds:
-                    kinds = {k for p, k in self.terms[child].parents if p == cur}
-                    if not kinds & set(relations):
-                        continue
-                seen.add(child)
-                stack.append(child)
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
         return seen
 
     def namespace_root(self, namespace: str) -> TermId:

@@ -42,7 +42,7 @@ def _check_namespace(o: Ontology, c: AnnotationCorpus, t: TermId) -> None:
 
 
 def _max_ic_common_ancestor(
-    c: AnnotationCorpus, anc_i: set[TermId], anc_j: set[TermId]
+    c: AnnotationCorpus, anc_i: frozenset[TermId], anc_j: frozenset[TermId]
 ) -> tuple[TermId, float]:
     best_t = ""
     best_ic = -1.0
@@ -187,14 +187,12 @@ def semantic_distance_matrix(
     c: AnnotationCorpus,
     genes: list[GeneId] | tuple[GeneId, ...],
     kind: str = RELEVANCE,
-    workers: int = 1,
 ) -> DistanceMatrix:
     """Semantic DistanceMatrix over ``genes``, bit-identical to
     ``gene_semantic_distance`` on every off-diagonal pair.
 
-    The term table and the gene fill are numpy loops over rows and run
-    single-threaded; ``workers`` is accepted for call compatibility and
-    ignored.  ``half[i, j]`` is the mean, over gene ``j``'s terms, of each
+    The term table and the gene fill are numpy loops over rows.
+    ``half[i, j]`` is the mean, over gene ``j``'s terms, of each
     term's best match among gene ``i``'s terms; the table is symmetric, so
     ``half[j, i]`` is the other side of the pair's best-match average.
     Genes with equal term counts are gathered together, so each mean is a

@@ -140,6 +140,22 @@ class TestPipeline:
         assert metrics["recall_no_popular"] is not None
         assert metrics["popular_labels"]
 
+    def test_truth_missing_a_b_gene_still_scores(self, data_dir, tmp_path):
+        rows = (data_dir / "truth.tsv").read_text().splitlines(keepends=True)
+        dropped = rows[1].split("\t")[0]
+        partial = tmp_path / "truth.tsv"
+        partial.write_text("".join(r for r in rows if r.split("\t")[0] != dropped))
+        out = tmp_path / "run"
+        res = run_cli(
+            *pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5"),
+            "--truth", str(partial), "--popular-threshold", "3",
+        )
+        assert res.returncode == 0, res.stderr
+        assert not (out / "error.json").exists()
+        metrics = json.loads((out / "metrics.json").read_text())
+        for key in ("sc", "bhi", "bc", "recall", "recall_no_popular"):
+            assert 0.0 <= metrics[key] <= 1.0, key
+
     def test_in_process_rerun_identical(self, data_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -333,9 +349,11 @@ class TestExitCodes:
             ({"k": 7.0}, "k must be an integer, got 7.0"),
             ({"seed": True}, "seed must be an integer, got True"),
             ({"alpha": False}, "alpha must be a number, got False"),
+            ({"evidence_exclude": 5}, "evidence_exclude must be a string, got 5"),
+            ({"namespace": True}, "namespace must be a string, got True"),
         ],
         ids=["int", "float", "path", "int-given-float", "int-given-whole-float",
-             "int-given-bool", "float-given-bool"],
+             "int-given-bool", "float-given-bool", "list-given-int", "str-given-bool"],
     )
     def test_manifest_value_of_wrong_type_is_config_error(self, tmp_path, config, message):
         manifest = tmp_path / "run_manifest.json"

@@ -11,6 +11,7 @@ from gofusion.enrichment import (
     export_term_graph,
     hypergeom_tail,
     infer_functions,
+    read_inferred_tsv,
     write_enrichment_tsv,
     write_inferred_tsv,
     InferredAnnotation,
@@ -169,11 +170,17 @@ class TestInferFunctions:
         assert all(r.terms == () for r in inferred)
         assert all(not r.enriched for r in inferred)
 
-    def test_worker_stability(self, enrich_setup):
+    @pytest.mark.parametrize("alpha", [1.0, 1e-9], ids=["enriched", "nothing-passes"])
+    def test_inferred_tsv_round_trip(self, enrich_setup, alpha):
         corpus, background = enrich_setup
-        a = infer_functions(self.partition(), background, corpus, workers=1)
-        b = infer_functions(self.partition(), background, corpus, workers=4)
-        assert a == b
+        part = self.partition()
+        inferred = infer_functions(part, background, corpus, alpha=alpha)
+        text = write_inferred_tsv(inferred)
+        back = read_inferred_tsv(text, part.labels("b"))
+        assert write_inferred_tsv(back) == text
+        assert [(r.gene, r.cluster_index, r.enriched) for r in back] == [
+            (r.gene, r.cluster_index, r.enriched) for r in sorted(inferred, key=lambda r: r.gene)
+        ]
 
     def test_tsv_shapes(self, enrich_setup):
         corpus, background = enrich_setup

@@ -112,15 +112,6 @@ class TestTuneGamma:
         assert len(r1.grid) == 5
         assert all(len(runs) == 3 for runs in r1.sc_runs)
 
-    def test_worker_count_stability(self, small_dataset):
-        ds = small_dataset
-        corpus = ds.corpus_a()
-        expr = ds.expression_a()
-        kwargs = dict(k=3, grid_step=0.5, runs=2, split=0.5, seed=5)
-        r1 = tune_gamma(expr, ds.ontology, corpus, **kwargs, workers=1)
-        r4 = tune_gamma(expr, ds.ontology, corpus, **kwargs, workers=4)
-        assert r1 == r4
-
     def test_flat_curve_on_noise_annotations(self):
         # Annotations drawn independently of everything give a curve whose
         # spread stays within run-to-run noise, and the argmin tie rule

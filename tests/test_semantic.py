@@ -198,13 +198,6 @@ class TestSemanticMatrix:
                 if i != j:
                     assert dm.d[i, j] == gene_semantic_distance(onto, corpus, gi, gj)
 
-    def test_worker_count_stability(self):
-        onto, corpus = random_dag_corpus(seed=23, n_terms=25, n_genes=16)
-        genes = corpus.genes()
-        d1 = semantic_distance_matrix(onto, corpus, genes, workers=1)
-        d4 = semantic_distance_matrix(onto, corpus, genes, workers=4)
-        assert (d1.d == d4.d).all()
-
 
 class TestVectorizedEqualsScalar:
     """The table and the matrix are vectorized; the scalar functions are the
