@@ -1,8 +1,10 @@
 """Command-line pipeline: distances, balancing, clustering, assignment,
 enrichment, inference and evaluation, each also exposed as a subcommand.
 
-Configuration is a flat ``key = value`` file; every key can be overridden
-by a command-line flag of the same name, and the flag wins.  Every run
+``COMMANDS`` lists each subcommand with the options it reads, and each
+takes only those flags (``pipeline`` takes them all).  A flat
+``key = value`` file (``--config``) may set any option for any
+subcommand; a command-line flag of the same name wins.  Every pipeline run
 writes ``run_manifest.json`` with all resolved parameters, input digests
 and tool versions, which is sufficient to reproduce the run byte for byte
 (``pipeline --from-manifest``).  Exit codes: 0 ok, 2 config error, 3 data
@@ -15,8 +17,10 @@ import argparse
 import json
 import platform
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from hashlib import sha256
+from inspect import signature
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -320,8 +324,12 @@ def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, newline="\n")
+    """Write one output file; an ``out_dir`` that cannot hold it is a ConfigError."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text, newline="\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write {name} to out_dir {out_dir}: {e}") from None
 
 
 def _merged_corpus(
@@ -562,53 +570,38 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         finish_manifest()
     except GofusionError as e:
         stages[stage] = "failed"
-        _write(
-            out,
-            "error.json",
-            json.dumps(
-                {"stage": stage, "error": type(e).__name__, "message": str(e)},
-                sort_keys=True,
-                indent=2,
-            ) + "\n",
-        )
-        finish_manifest()
+        record = {"stage": stage, "error": type(e).__name__, "message": str(e)}
+        with suppress(ConfigError):  # an out_dir that takes no file keeps no record
+            _write(out, "error.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
+            finish_manifest()
         raise
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_synth(cfg: PipelineConfig, **sizes: float) -> None:
     cfg.require("out_dir", "seed")
-    ds = make_dataset(
-        seed=cfg.seed,
-        subgroups_per_family=args.subgroups_per_family,
-        genes_per_subgroup=args.genes_per_subgroup,
-        leaves_per_subgroup=args.leaves_per_subgroup,
-        conditions=args.conditions,
-        noise=args.noise,
-        b_fraction=args.b_fraction,
-    )
-    files = write_dataset(ds, cfg.out_dir)
+    ds = make_dataset(seed=cfg.seed, **sizes)
+    try:
+        files = write_dataset(ds, cfg.out_dir)
+    except OSError as e:
+        raise ConfigError(f"cannot write the dataset to out_dir {cfg.out_dir}: {e}") from None
     for name, path in sorted(files.items()):
         print(f"{name}\t{path}")
 
 
-def cmd_distances(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_distances(cfg: PipelineConfig) -> None:
     cfg.require("obo", "annotations", "expression_a", "out_dir")
     _distances(cfg, *_load_a(cfg))
 
 
-def cmd_tune_gamma(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_tune_gamma(cfg: PipelineConfig) -> None:
     cfg.require("obo", "annotations", "expression_a", "out_dir", "seed", "k")
     print(f"best_gamma\t{_tune(cfg, *_load_a(cfg)):.10g}")
 
 
-def cmd_cluster(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_cluster(cfg: PipelineConfig) -> None:
     cfg.require("d_e", "d_go", "out_dir", "k")
     if cfg.balancing == "gamma_tuning":
         raise ConfigError(
@@ -627,28 +620,24 @@ def cmd_cluster(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_assign(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_assign(cfg: PipelineConfig) -> None:
     cfg.require("partition", "expression_a", "expression_b", "out_dir")
     part = read_partition_tsv(_read(cfg, "partition"))
     expr_a = load_expression(_read(cfg, "expression_a"))
     _assign(cfg, part, expr_a, load_expression(_read(cfg, "expression_b")))
 
 
-def cmd_enrich(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_enrich(cfg: PipelineConfig) -> None:
     _o, corpus, part = _load_partition_inputs(cfg)
     _enrich(cfg, part, corpus)
 
 
-def cmd_infer(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_infer(cfg: PipelineConfig) -> None:
     o, corpus, part = _load_partition_inputs(cfg)
     _infer(cfg, part, corpus, o, _load_truth(cfg, o))
 
 
-def cmd_eval(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
+def cmd_eval(cfg: PipelineConfig) -> None:
     o, corpus, part = _load_partition_inputs(cfg)
     report = MetricReport()
     truth = _load_truth(cfg, o)
@@ -664,59 +653,64 @@ def cmd_eval(args: argparse.Namespace) -> None:
     _write(cfg.out_dir, "metrics.json", report.to_json())
 
 
-def cmd_pipeline(args: argparse.Namespace) -> None:
-    cfg = build_config(args)
-    run_pipeline(cfg)
-
-
 # -- argument parsing ----------------------------------------------------------
 
+# synth passes on only the sizes given, so make_dataset alone holds their defaults
+_SYNTH_SIZES = ("subgroups_per_family", "genes_per_subgroup", "leaves_per_subgroup",
+                "conditions", "noise", "b_fraction")
+# add_argument keywords of the flags that are not PipelineConfig options
+_OWN_FLAGS = {
+    "from_manifest": {"help": "re-run from a run_manifest.json"},
+    **{k: {"type": type(signature(make_dataset).parameters[k].default)} for k in _SYNTH_SIZES},
+}
+# what _load_a and _load_partition_inputs read
+_LOAD_A = ("obo", "annotations", "expression_a", "namespace", "evidence_exclude")
+_LOAD_PARTITION = ("partition", "obo", "annotations", "out_dir", "namespace", "evidence_exclude")
 
-def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="flat key = value config file")
-    for f in fields(PipelineConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
-    return p
+# subcommand -> (help, function, the options it reads); every subcommand
+# also takes --config, and a config file or manifest may name any option
+COMMANDS = {
+    "synth": ("generate a synthetic benchmark", cmd_synth, ("out_dir", "seed", *_SYNTH_SIZES)),
+    "distances": ("expression and semantic distance matrices", cmd_distances,
+                  (*_LOAD_A, "out_dir", "metric", "similarity")),
+    "tune-gamma": ("grid-search the gamma weight", cmd_tune_gamma,
+                   (*_LOAD_A, "out_dir", "metric", "similarity", "seeding", "grid_step",
+                    "split", "k", "runs", "seed")),
+    "cluster": ("cluster annotated genes on the fused distance", cmd_cluster,
+                ("d_e", "d_go", "out_dir", "balancing", "seeding", "gamma", "m", "k")),
+    "assign": ("attach unannotated genes to clusters", cmd_assign,
+               ("expression_a", "expression_b", "partition", "out_dir", "metric", "balancing",
+                "assign_distance", "m")),
+    "enrich": ("over-representation analysis per cluster", cmd_enrich,
+               (*_LOAD_PARTITION, "correction", "alpha")),
+    "infer": ("transfer enriched terms to unannotated genes", cmd_infer,
+              (*_LOAD_PARTITION, "truth", "correction", "alpha")),
+    "eval": ("partition and inference quality metrics", cmd_eval,
+             (*_LOAD_PARTITION, "truth", "inferred", "against", "similarity",
+              "popular_threshold")),
+    "pipeline": ("run the full workflow", run_pipeline, (*_OPTION_TYPES, "from_manifest")),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    common = _common_parser()
     top = argparse.ArgumentParser(
         prog="gofusion",
         description="Infer GO biological-process labels for unannotated genes "
         "by fusing expression and semantic distances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("synth", parents=[common], help="generate a synthetic benchmark")
-    ps.add_argument("--subgroups-per-family", type=int, default=25)
-    ps.add_argument("--genes-per-subgroup", type=int, default=4)
-    ps.add_argument("--leaves-per-subgroup", type=int, default=4)
-    ps.add_argument("--conditions", type=int, default=24)
-    ps.add_argument("--noise", type=float, default=1.1)
-    ps.add_argument("--b-fraction", type=float, default=0.1)
-    ps.set_defaults(func=cmd_synth)
-
-    for name, fn, text in (
-        ("distances", cmd_distances, "expression and semantic distance matrices"),
-        ("tune-gamma", cmd_tune_gamma, "grid-search the gamma weight"),
-        ("cluster", cmd_cluster, "cluster annotated genes on the fused distance"),
-        ("assign", cmd_assign, "attach unannotated genes to clusters"),
-        ("enrich", cmd_enrich, "over-representation analysis per cluster"),
-        ("infer", cmd_infer, "transfer enriched terms to unannotated genes"),
-        ("eval", cmd_eval, "partition and inference quality metrics"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=text)
-        p.set_defaults(func=fn)
-
-    pp = sub.add_parser("pipeline", parents=[common], help="run the full workflow")
-    pp.add_argument("--from-manifest", help="re-run from a run_manifest.json")
-    pp.set_defaults(func=cmd_pipeline)
+    for name, (text, run, options) in COMMANDS.items():
+        # no abbreviations: a flag a subcommand lacks must not match a longer one
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in options:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, **_OWN_FLAGS.get(key, {}))
+        p.set_defaults(run=run)
 
     args = top.parse_args(argv)
+    sizes = {k: v for k in _SYNTH_SIZES if (v := getattr(args, k, None)) is not None}
     try:
-        args.func(args)
+        args.run(build_config(args), **sizes)
     except GofusionError as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return e.exit_code

@@ -274,7 +274,8 @@ def read_partition_tsv(text: str) -> Partition:
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("gene_id\t"):
+        # two header columns: a gene may be named gene_id
+        if not line.strip() or line.startswith("gene_id\tcluster_index\t"):
             continue
         fields = line.split("\t")
         if len(fields) != 4:

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import gofusion
-from gofusion.cli import build_config, main, parse_config_text
+from gofusion.cli import PipelineConfig, build_config, main, parse_config_text
 from gofusion.errors import ConfigError
 from gofusion.synth import make_dataset, write_dataset
 
@@ -91,6 +93,53 @@ class TestConfigParsing:
 
         with pytest.raises(ConfigError):
             build_config(argparse.Namespace(config=None, balancing="fixed_gamma"))
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--k", "5"],
+            ["distances", "--workers", "2"],
+            ["tune-gamma", "--gamma", "0.5"],
+            ["cluster", "--seed", "3"],  # a prefix of --seeding, which cluster reads
+            ["assign", "--k", "5"],
+            ["enrich", "--metric", "pearson"],
+            ["infer", "--similarity", "lin"],
+            ["eval", "--alpha", "0.01"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_pipeline_takes_every_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.M))
+        options = {f"--{f.name.replace('_', '-')}" for f in fields(PipelineConfig)}
+        assert flags == options | {"--config", "--from-manifest"}
+
+    def test_config_file_may_name_any_option(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 5\nk = 12\nworkers = 2\nmetric = pearson\n")
+        assert main(["synth", "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "go.obo").exists()
+
+    @pytest.mark.parametrize(
+        "extra, sizes", [([], {}), (["--noise", "0.9"], {"noise": 0.9})], ids=["defaults", "noise"]
+    )
+    def test_synth_writes_make_dataset_bytes(self, tmp_path, extra, sizes):
+        cli = tmp_path / "cli"
+        assert main(["synth", "--seed", "5", "--out-dir", str(cli), *extra]) == 0
+        files = write_dataset(make_dataset(seed=5, **sizes), tmp_path / "lib")
+        assert sorted(f.name for f in cli.iterdir()) == sorted(f.name for f in files.values())
+        for f in files.values():
+            assert (cli / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 class TestPipeline:
@@ -419,3 +468,28 @@ class TestExitCodes:
         assert "ConfigError" in res.stderr
         if command == "pipeline":
             assert json.loads((out / "error.json").read_text())["stage"] == "load"
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    @pytest.mark.parametrize("command", ["synth", "distances", "pipeline"])
+    def test_unusable_out_dir_is_config_error(self, data_dir, tmp_path, command, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker if where == "file" else blocker / "out"
+        if command == "synth":
+            argv = ["synth", "--seed", "1", "--out-dir", str(out)]
+        elif command == "pipeline":
+            argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        else:
+            argv = [
+                "distances",
+                "--obo", str(data_dir / "go.obo"),
+                "--annotations", str(data_dir / "annotations.tsv"),
+                "--expression-a", str(data_dir / "expression_a.tsv"),
+                "--out-dir", str(out),
+            ]
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "ConfigError" in res.stderr
+        assert "cannot write" in res.stderr
+        assert blocker.read_text() == "kept\n"
