@@ -490,8 +490,13 @@ def _score(
 def run_pipeline(cfg: PipelineConfig) -> None:
     """Full workflow: distances, balancing, clustering, assignment,
     enrichment, inference, metrics, manifest."""
-    cfg.require("obo", "annotations", "expression_a", "expression_b", "out_dir", "seed", "k")
+    cfg.require("out_dir")
     out = cfg.out_dir
+    try:  # before any work: an out_dir that cannot be made would fail the first write
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write to out_dir {out}: {e}") from None
+    cfg.require("obo", "annotations", "expression_a", "expression_b", "seed", "k")
     stages: dict[str, str] = {}
     inputs: dict[str, dict] = {}
     manifest: dict = {
@@ -707,7 +712,11 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, **_OWN_FLAGS.get(key, {}))
         p.set_defaults(run=run)
 
-    args = top.parse_args(argv)
+    # a subcommand hands the flags it lacks back to the top parser, whose
+    # usage line would not show the flags that subcommand does take
+    args, extra = top.parse_known_args(argv)
+    if extra:
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     sizes = {k: v for k in _SYNTH_SIZES if (v := getattr(args, k, None)) is not None}
     try:
         args.run(build_config(args), **sizes)

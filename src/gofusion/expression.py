@@ -238,10 +238,17 @@ def expression_distance_matrix(m: ExpressionMatrix, metric: str = EUCLIDEAN) -> 
 
 
 def write_distance_tsv(dm: DistanceMatrix) -> str:
-    """Full square matrix as TSV with a gene-id header row and column."""
+    """Full square matrix as TSV with a gene-id header row and column.
+
+    Each cell is ``f"{v:.10g}"``.  Each distinct value is formatted once:
+    values are told apart by their bit patterns, not by ``==``, so a
+    ``-0.0`` cell still prints ``-0`` next to a ``0.0`` one.
+    """
+    keys, inv = np.unique(dm.d.view(np.int64), return_inverse=True)
+    texts = [f"{v:.10g}" for v in keys.view(np.float64).tolist()]
     lines = ["gene_id\t" + "\t".join(dm.genes)]
-    for i, g in enumerate(dm.genes):
-        lines.append(g + "\t" + "\t".join(f"{v:.10g}" for v in dm.d[i]))
+    for g, row in zip(dm.genes, inv.reshape(dm.d.shape)):
+        lines.append(g + "\t" + "\t".join(map(texts.__getitem__, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

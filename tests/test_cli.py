@@ -114,7 +114,9 @@ class TestSubcommandFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert err.startswith(f"usage: gofusion {argv[0]} ")  # the subcommand's own flags
 
     def test_pipeline_takes_every_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -493,3 +495,14 @@ class TestExitCodes:
         assert "ConfigError" in res.stderr
         assert "cannot write" in res.stderr
         assert blocker.read_text() == "kept\n"
+
+    def test_unusable_out_dir_reported_before_missing_input(self, data_dir, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        argv = pipeline_args(data_dir, blocker, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        argv[argv.index("--obo") + 1] = str(tmp_path / "missing.obo")
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert "ConfigError" in res.stderr
+        assert f"cannot write to out_dir {blocker}" in res.stderr
+        assert "missing.obo" not in res.stderr

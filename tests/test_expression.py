@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gofusion.cli as cli
 from gofusion.errors import DegenerateError, ParseError, ValidationError
 from gofusion.expression import (
     DistanceMatrix,
@@ -11,6 +12,7 @@ from gofusion.expression import (
     read_distance_tsv,
     write_distance_tsv,
 )
+from gofusion.synth import make_dataset, write_dataset
 
 from conftest import random_distance_matrix
 
@@ -149,3 +151,78 @@ class TestDistanceMatrixType:
         assert back.genes == dm.genes
         assert np.allclose(back.d, dm.d, atol=1e-9)
         assert write_distance_tsv(back) == write_distance_tsv(dm)
+
+
+def _reference_write(dm):
+    """The writer that formatted every cell on its own, kept as the oracle."""
+    lines = ["gene_id\t" + "\t".join(dm.genes)]
+    for i, g in enumerate(dm.genes):
+        lines.append(g + "\t" + "\t".join(f"{v:.10g}" for v in dm.d[i]))
+    return "\n".join(lines) + "\n"
+
+
+def _mirrored(d):
+    """``d`` with its upper triangle copied below the diagonal, bit for bit
+    (``d + d.T`` would turn -0.0 into 0.0)."""
+    d = np.array(d, dtype=float)
+    lower = np.tril_indices(len(d), -1)
+    d[lower] = d.T[lower]
+    return DistanceMatrix(tuple(f"g{i}" for i in range(len(d))), d)
+
+
+WIDE = _mirrored(np.triu(np.random.default_rng(8).random((9, 9)), 1))
+
+
+def _pipeline_matrices(tmp_path, monkeypatch, extra):
+    """The DistanceMatrix objects a synth seed-1 pipeline hands its writer."""
+    written = []
+    monkeypatch.setattr(cli, "write_distance_tsv", lambda dm: written.append(dm) or "")
+    data = tmp_path / "data"
+    write_dataset(make_dataset(seed=1), data)
+    argv = [
+        "pipeline",
+        "--obo", str(data / "go.obo"),
+        "--annotations", str(data / "annotations.tsv"),
+        "--expression-a", str(data / "expression_a.tsv"),
+        "--expression-b", str(data / "expression_b.tsv"),
+        "--out-dir", str(tmp_path / "out"),
+        "--seed", "7",
+        "--k", "50",
+        *extra,
+    ]
+    assert cli.main(argv) == 0
+    return written
+
+
+class TestWriteDistanceTsv:
+    @pytest.mark.parametrize(
+        "dm",
+        [
+            _mirrored([[0.0, -0.0, 0.5], [0, -0.0, 0.0], [0, 0, 0.0]]),
+            _mirrored(np.triu(np.random.default_rng(3).integers(0, 4, (12, 12)) / 3, 1)),
+            _mirrored([[0, 0.1, np.nextafter(0.1, 1)], [0, 0, np.nextafter(0.1, 0)], [0, 0, 0]]),
+            _mirrored([[0, 5e-324, 1e-310], [0, 0, 1.0], [0, 0, 0]]),
+            DistanceMatrix(("only",), np.zeros((1, 1))),
+            DistanceMatrix(WIDE.genes[::2], WIDE.d[::2, ::2]),
+            DistanceMatrix(WIDE.genes, np.asfortranarray(WIDE.d)),
+        ],
+        ids=["signed-zeros", "ties", "same-ten-digits", "subnormal-and-one", "one-gene",
+             "strided", "fortran-order"],
+    )
+    def test_same_bytes_as_reference(self, dm):
+        assert write_distance_tsv(dm) == _reference_write(dm)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--metric", "pearson"],
+            ["--balancing", "percentile"],
+        ],
+        ids=["euclidean-tuning", "pearson-tuning", "percentile"],
+    )
+    def test_pipeline_matrices_same_bytes_as_reference(self, tmp_path, monkeypatch, extra):
+        written = _pipeline_matrices(tmp_path, monkeypatch, extra)
+        assert len(written) == 3  # d_e, d_go, d_gamma
+        for dm in written:
+            assert write_distance_tsv(dm) == _reference_write(dm)
