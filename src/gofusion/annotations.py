@@ -6,6 +6,12 @@ retained genes annotated to ``t`` or any of its descendants.  Information
 content is the natural-log surprisal of the propagated term probability.
 The log base is not configurable: downstream term similarity relies on
 ``exp(-ic(t)) == p(t)``.
+
+Propagation reads the ontology's ancestor bitsets (``Ontology.closure_bits``):
+a gene's mask is the OR of its direct terms' bitsets, and the column sums of
+the masks unpacked into a genes × terms 0/1 matrix (``Ontology.bit_rows``:
+``int.to_bytes`` little-endian, then ``np.unpackbits``) are ``prop_count``
+by ``topo_order`` position.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyCorpusError, ParseError, UnknownIdError
 from .ontology import Ontology, TermId
 
@@ -23,6 +31,10 @@ logger = logging.getLogger(__name__)
 GeneId = str
 
 DEFAULT_EXCLUDED_EVIDENCE = frozenset({"ND"})
+
+# genes unpacked at once by build_corpus, which bounds its bit matrix
+# to _COUNT_BLOCK bytes per live term
+_COUNT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -76,20 +88,28 @@ def build_corpus(
     if not direct:
         raise EmptyCorpusError("no annotated genes retained")
     root = o.namespace_root(namespace)
-    prop: dict[TermId, int] = {}
+    bits = o.closure_bits
+    masks: list[int] = []
     root_only = 0
     for gene in sorted(direct):
         terms = direct[gene]
         if not terms:
             raise EmptyCorpusError(f"gene {gene!r} has an empty term set")
-        expanded: set[TermId] = set()
+        mask = 0
         for t in terms:
-            expanded |= o.ancestors(t)
-        for t in expanded:
-            prop[t] = prop.get(t, 0) + 1
+            b = bits.get(t)
+            if b is None:
+                o.ancestors(t)  # unknown or obsolete: raises UnknownIdError
+            mask |= b
+        masks.append(mask)
         if terms == {root}:
             root_only += 1
     n = len(direct)
+    counts = np.zeros(len(o.topo_order), dtype=np.int64)
+    for lo in range(0, n, _COUNT_BLOCK):
+        counts += o.bit_rows(masks[lo:lo + _COUNT_BLOCK]).sum(axis=0, dtype=np.int64)
+    hit = np.flatnonzero(counts)
+    prop = dict(zip([o.topo_order[j] for j in hit.tolist()], counts[hit].tolist()))
     ic = {t: -math.log(c / n) for t, c in prop.items()}
     ic[root] = 0.0
     if root_only:

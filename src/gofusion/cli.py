@@ -7,8 +7,11 @@ takes only those flags (``pipeline`` takes them all).  A flat
 subcommand; a command-line flag of the same name wins.  Every pipeline run
 writes ``run_manifest.json`` with all resolved parameters, input digests
 and tool versions, which is sufficient to reproduce the run byte for byte
-(``pipeline --from-manifest``).  Exit codes: 0 ok, 2 config error, 3 data
-error, 4 numeric/degenerate error.
+(``pipeline --from-manifest``), and the ``LoadDiagnostics`` of each
+annotation file it read (``inputs.annotations.diagnostics``, and
+``inputs.truth.diagnostics`` with ``--truth``), also when a later stage
+fails.  Exit codes: 0 ok, 2 config error, 3 data error, 4
+numeric/degenerate error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import platform
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from inspect import signature
 from pathlib import Path
@@ -275,9 +278,14 @@ def _read(cfg: PipelineConfig, key: str, inputs: dict | None = None) -> str:
 def _load_annotations(
     cfg: PipelineConfig, key: str, o: Ontology, inputs: dict | None = None
 ) -> AnnotationCorpus:
-    return load_annotations(
+    """The corpus in the file named by option ``key``; with ``inputs``, also
+    records its ``LoadDiagnostics`` there, next to the file's digest."""
+    corpus = load_annotations(
         _read(cfg, key, inputs), o, cfg.namespace, frozenset(cfg.evidence_exclude)
     )
+    if inputs is not None:
+        inputs[key]["diagnostics"] = asdict(corpus.diagnostics)
+    return corpus
 
 
 def _load_truth(

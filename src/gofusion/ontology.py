@@ -5,6 +5,14 @@ Only the OBO 1.2 tag subset needed downstream is interpreted: ``id``,
 ``is_obsolete`` inside ``[Term]`` stanzas.  Everything else is skipped.
 Ancestry follows both is_a and part_of edges, which is how mainstream GO
 tooling propagates annotations.
+
+Every ancestor closure is computed once, when the ontology is built: live
+term ``t`` sits at position ``index[t]`` of ``topo_order``, and
+``closure_bits[t]`` is a Python int whose bit ``j`` is set when
+``topo_order[j]`` is an ancestor of ``t`` (itself included).  Filling them
+in topological order takes one OR per parent edge.  They hold about n²/16
+bytes for n live terms.  ``ancestors()`` finds the same sets by a DFS and
+is the scalar oracle the bitsets are tested against.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, UnknownIdError, ValidationError
 
@@ -31,8 +41,7 @@ def is_term_id(s: str) -> bool:
     return bool(TERM_ID_RE.match(s))
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One ontology term; ``parents`` holds (parent id, edge kind) pairs."""
 
     id: TermId
@@ -48,7 +57,8 @@ class Ontology:
     Obsolete terms are kept in ``terms`` (so inputs referencing them can be
     diagnosed) but are excluded from ``topo_order`` and from all closure
     queries.  ``topo_order`` lists every non-obsolete term with parents
-    before children.  ``source_digest`` is the SHA-256 of the parsed bytes
+    before children; ``index`` and ``closure_bits`` are described in the
+    module docstring.  ``source_digest`` is the SHA-256 of the parsed bytes
     and is carried into all pipeline outputs, since results depend on the
     GO release used.
     """
@@ -61,12 +71,25 @@ class Ontology:
             if term.obsolete:
                 continue
             for parent, _kind in term.parents:
+                if terms[parent].obsolete:
+                    dead = sorted(p for p, _ in term.parents if terms[p].obsolete)
+                    raise ValidationError(
+                        f"term {term.id} has obsolete parent(s): {', '.join(dead)}"
+                    )
                 self._children[parent].append(term.id)
         for kids in self._children.values():
             kids.sort()
         self._ancestors: dict[TermId, frozenset[TermId]] = {}
         self.roots = self._find_roots()
         self.topo_order = self._toposort()
+        self.index = {t: i for i, t in enumerate(self.topo_order)}
+        closure: dict[TermId, int] = {}
+        for i, t in enumerate(self.topo_order):
+            bits = 1 << i
+            for parent, _kind in terms[t].parents:
+                bits |= closure[parent]
+            closure[t] = bits
+        self.closure_bits = closure
         self._check_reachability()
 
     # -- construction checks -------------------------------------------------
@@ -107,11 +130,11 @@ class Ontology:
 
     def _check_reachability(self) -> None:
         for ns, root in self.roots.items():
-            covered = self.descendants(root)
+            root_bit = 1 << self.index[root]
             stranded = [
-                t.id
-                for t in self._live_terms()
-                if t.namespace == ns and t.id not in covered
+                t
+                for t, bits in self.closure_bits.items()
+                if not bits & root_bit and self.terms[t].namespace == ns
             ]
             if stranded:
                 raise ValidationError(
@@ -145,6 +168,18 @@ class Ontology:
                     stack.append(parent)
         hit = self._ancestors[t] = frozenset(seen)
         return hit
+
+    def bit_rows(self, masks: list[int]) -> np.ndarray:
+        """0/1 uint8 rows, one per mask over ``topo_order`` positions (such
+        as ``closure_bits`` values or ORs of them): column ``j`` is bit ``j``."""
+        width = len(self.topo_order)
+        nbytes = (width + 7) // 8
+        packed = np.frombuffer(
+            b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8
+        )
+        return np.unpackbits(
+            packed.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little"
+        )
 
     def descendants(self, t: TermId) -> set[TermId]:
         """Reflexive transitive child closure of ``t`` (inverse of ancestors)."""
@@ -208,7 +243,7 @@ def parse_obo(data: bytes | str) -> Ontology:
 
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("["):

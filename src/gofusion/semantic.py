@@ -100,6 +100,26 @@ def term_similarity(
     return _sim_from_ic(ms_ic, ic_i, ic_j, kind, max(c.ic.values()))
 
 
+def _ancestor_columns(
+    o: Ontology, c: AnnotationCorpus, terms: list[TermId]
+) -> tuple[list[TermId], np.ndarray, np.ndarray]:
+    """The ancestors with an IC of ``terms``, decoded from their closure bitsets.
+
+    Returns the union of those ancestors as columns ordered by IC, highest
+    first, ties by smallest id; then, term after term, each term's column
+    indices in increasing order (``flat``) and where each term's run starts.
+    """
+    member = o.bit_rows([o.closure_bits[t] for t in terms]).view(bool)
+    member &= np.array([t in c.ic for t in o.topo_order])
+    cols = sorted(
+        (o.topo_order[j] for j in np.flatnonzero(member.any(axis=0)).tolist()),
+        key=lambda t: (-c.ic[t], t),
+    )
+    rows, flat = np.nonzero(member[:, [o.index[t] for t in cols]])
+    starts = np.searchsorted(rows, np.arange(len(terms)))
+    return cols, flat, starts
+
+
 def _term_sim_table(
     o: Ontology, c: AnnotationCorpus, terms: list[TermId], kind: str
 ) -> np.ndarray:
@@ -118,23 +138,19 @@ def _term_sim_table(
         _check_namespace(o, c, t)
     ics = np.array([information_content(c, t) for t in terms])
     peak = max(c.ic.values()) if c.ic else 0.0
-    anc = [o.ancestors(t) & c.ic.keys() for t in terms]
-    cols = sorted(set().union(*anc), key=lambda t: (-c.ic[t], t))
-    col_of = {t: k for k, t in enumerate(cols)}
+    cols, flat, starts = _ancestor_columns(o, c, terms)
     no_mica = len(cols)
     col_ic = np.array([c.ic[t] for t in cols] + [-1.0])
     # math.exp, not np.exp: the two may differ in the last bit.
     col_rel = np.array([1.0 - math.exp(-ic) for ic in col_ic])
-    anc_cols = [sorted(col_of[t] for t in a) for a in anc]
-    flat = np.array([k for ks in anc_cols for k in ks], dtype=np.intp)
-    starts = np.cumsum([0] + [len(ks) for ks in anc_cols[:-1]], dtype=np.intp)
+    ends = np.append(starts[1:], len(flat))
 
     u = len(terms)
     sim = np.zeros((u, u))
     shared = np.zeros(no_mica + 1, dtype=bool)
     for a in range(u):
         shared[:] = False
-        shared[anc_cols[a]] = True
+        shared[flat[starts[a]:ends[a]]] = True
         tail = flat[starts[a]:]
         cand = np.where(shared[tail], tail, no_mica)
         mica = np.minimum.reduceat(cand, starts[a:] - starts[a])

@@ -3,15 +3,19 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 import gofusion
+from gofusion.annotations import load_annotations
 from gofusion.cli import PipelineConfig, build_config, main, parse_config_text
 from gofusion.errors import ConfigError
-from gofusion.synth import make_dataset, write_dataset
+from gofusion.ontology import parse_obo
+from gofusion.synth import ROOT, make_dataset, write_dataset
+
+BP = "biological_process"
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +219,20 @@ class TestPipeline:
             outs.append(out)
         for f in ("partition.tsv", "inferred.tsv", "metrics.json"):
             assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+    # k = 5000 fails in the cluster stage, after the inputs are loaded
+    @pytest.mark.parametrize("k, rc", [("12", 0), ("5000", 2)])
+    def test_manifest_records_load_diagnostics(self, data_dir, tmp_path, k, rc):
+        out = tmp_path / "run"
+        argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        argv[argv.index("--k") + 1] = k
+        assert main([*argv, "--truth", str(data_dir / "truth.tsv")]) == rc
+        inputs = json.loads((out / "run_manifest.json").read_text())["inputs"]
+        o = parse_obo((data_dir / "go.obo").read_bytes())
+        for key, name in (("annotations", "annotations.tsv"), ("truth", "truth.tsv")):
+            expected = load_annotations((data_dir / name).read_bytes(), o, BP).diagnostics
+            assert inputs[key]["diagnostics"] == asdict(expected)
+            assert inputs[key]["diagnostics"]["rows_kept"] > 0
 
     def test_manifest_rerun_identical(self, data_dir, tmp_path):
         first = tmp_path / "first"
@@ -506,3 +524,58 @@ class TestExitCodes:
         assert "ConfigError" in res.stderr
         assert f"cannot write to out_dir {blocker}" in res.stderr
         assert "missing.obo" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, damage, code, message",
+        [
+            ("distances", "--obo",
+             "[Term]\nid: GO:0999991\nname: gone\nnamespace: biological_process\n"
+             f"is_a: {ROOT}\nis_obsolete: true\n\n"
+             "[Term]\nid: GO:0999992\nname: x\nnamespace: biological_process\n"
+             "is_a: GO:0999991\n",
+             3, "term GO:0999992 has obsolete parent(s): GO:0999991"),
+            ("distances", "--obo",
+             "[Term]\nid: GO:0999993\nname: x\nnamespace: biological_process\n"
+             f"is_a: {ROOT}\nis_a: GO:0999993\n",
+             3, "cycle through GO:0999993"),
+            ("distances", "--obo",
+             "[Term]\nid: GO:0999994\nname: x\nnamespace: biological_process\n",
+             3, "multiple parentless terms"),
+            ("distances", "--obo",
+             "[Term]\nid: GO:0999995\nname: mf\nnamespace: molecular_function\n\n"
+             "[Term]\nid: GO:0999996\nname: x\nnamespace: biological_process\n"
+             "is_a: GO:0999995\n",
+             3, "cannot reach the biological_process root"),
+            ("distances", "--expression-a", "", 3, "empty expression file"),
+            ("cluster", "--d-e", "gene_id\ta\tb\na\t0\t1\n", 3, "expected 2 data rows"),
+            # the BOM makes the header a data row in a foreign namespace
+            ("distances", "--annotations", "\ufeff", 0, ""),
+        ],
+        ids=["obsolete-parent", "self-loop", "two-roots", "stranded-term",
+             "empty-expression", "non-square-distances", "bom-annotations"],
+    )
+    def test_bad_input_exit_code(
+        self, data_dir, run_dir, tmp_path, command, flag, damage, code, message
+    ):
+        if command == "cluster":
+            argv = ["cluster", "--d-e", "", "--d-go", str(run_dir / "d_go.tsv"),
+                    "--balancing", "percentile", "--k", "2"]
+        else:
+            argv = [
+                "distances",
+                "--obo", str(data_dir / "go.obo"),
+                "--annotations", str(data_dir / "annotations.tsv"),
+                "--expression-a", str(data_dir / "expression_a.tsv"),
+            ]
+        bad = tmp_path / "bad"
+        if flag == "--obo":  # a well-formed release with the damage appended
+            bad.write_text((data_dir / "go.obo").read_text() + "\n" + damage)
+        elif flag == "--annotations":
+            bad.write_text(damage + (data_dir / "annotations.tsv").read_text())
+        else:
+            bad.write_text(damage)
+        argv[argv.index(flag) + 1] = str(bad)
+        res = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert message in res.stderr

@@ -91,6 +91,17 @@ def test_cycle_rejected():
         parse_obo(text)
 
 
+def test_obsolete_parent_rejected():
+    # before the check, the obsolete parent was never released by the
+    # topological sort and the term was reported as part of a cycle
+    text = FIXTURE_OBO + OBSOLETE_TERM + (
+        "\n[Term]\nid: GO:0000004\nname: x\nnamespace: biological_process\n"
+        "is_a: GO:0000009\nis_a: GO:0000001\n"
+    )
+    with pytest.raises(ValidationError, match="term GO:0000004 has obsolete parent.*GO:0000009"):
+        parse_obo(text)
+
+
 def test_malformed_id_has_line_number():
     text = "[Term]\nid: GO:12\nname: bad\n"
     with pytest.raises(ParseError, match="line 2"):
