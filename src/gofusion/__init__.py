@@ -17,7 +17,6 @@ from .expression import (
     DistanceMatrix,
     ExpressionMatrix,
     expression_distance_matrix,
-    l2_normalize_blocks,
     load_expression,
 )
 from .fusion import TuningReport, combine_gamma, percentile_equalize, tune_gamma
@@ -64,7 +63,6 @@ __all__ = [
     "hypergeom_tail",
     "infer_functions",
     "information_content",
-    "l2_normalize_blocks",
     "label_counts",
     "load_annotations",
     "load_expression",

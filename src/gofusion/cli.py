@@ -80,7 +80,6 @@ from .semantic import SIMILARITY_KINDS, semantic_distance_matrix
 from .synth import make_dataset, write_dataset
 
 BALANCINGS = ("percentile", "gamma_tuning", "fixed_gamma")
-ASSIGN_DISTANCES = ("raw", "equalized")
 
 _CHOICES = {
     "metric": METRICS,
@@ -88,7 +87,6 @@ _CHOICES = {
     "balancing": BALANCINGS,
     "correction": CORRECTIONS,
     "seeding": SEEDINGS,
-    "assign_distance": ASSIGN_DISTANCES,
 }
 
 
@@ -113,7 +111,6 @@ class PipelineConfig:
     balancing: str = "gamma_tuning"
     correction: str = "none"
     seeding: str = PAM_BUILD
-    assign_distance: str | None = None
     gamma: float | None = None
     grid_step: float = 0.05
     split: float = 0.5
@@ -146,11 +143,6 @@ class PipelineConfig:
             raise ConfigError("gamma is only valid with balancing=fixed_gamma")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-
-    def resolved_assign_distance(self) -> str:
-        if self.assign_distance is not None:
-            return self.assign_distance
-        return "equalized" if self.balancing == "percentile" else "raw"
 
     def as_manifest_dict(self) -> dict:
         out: dict = {}
@@ -231,8 +223,11 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(config, dict):
             raise ConfigError(f"manifest {manifest_path} has no config object")
         for key, v in config.items():
-            if v is not None and key in _OPTION_TYPES:
-                values[key] = _coerce(key, v)
+            if v is None:  # an unset option, also one this version no longer has
+                continue
+            if key not in _OPTION_TYPES:
+                raise ConfigError(f"manifest {manifest_path} sets unknown option {key!r}")
+            values[key] = _coerce(key, v)
     if getattr(args, "config", None):
         try:
             raw = parse_config_text(Path(args.config).read_text())
@@ -259,7 +254,8 @@ def _read(cfg: PipelineConfig, key: str, inputs: dict | None = None) -> str:
 
     A missing option or path, or a path that cannot be read (a directory,
     no permission), is a ConfigError; bytes that are not UTF-8 are a
-    DataError.  With ``inputs``, records the path and its SHA-256 there.
+    DataError.  A leading UTF-8 byte-order mark is dropped.  With
+    ``inputs``, records the path and the SHA-256 of its bytes there.
     """
     cfg.require(key)
     path = getattr(cfg, key)
@@ -270,7 +266,7 @@ def _read(cfg: PipelineConfig, key: str, inputs: dict | None = None) -> str:
     if inputs is not None:
         inputs[key] = {"path": str(path.resolve()), "sha256": sha256(data).hexdigest()}
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise DataError(f"{key} {path} is not UTF-8: {e}") from None
 
@@ -352,11 +348,19 @@ def _merged_corpus(
 # -- stages shared by pipeline and the subcommands ------------------------------
 
 
+def _matrices(
+    cfg: PipelineConfig, o: Ontology, corpus: AnnotationCorpus, expr_a: ExpressionMatrix
+) -> tuple[DistanceMatrix, DistanceMatrix]:
+    """The expression and semantic distance matrices over the A genes."""
+    d_e = expression_distance_matrix(expr_a, cfg.metric)
+    return d_e, semantic_distance_matrix(o, corpus, expr_a.genes, cfg.similarity)
+
+
 def _distances(
     cfg: PipelineConfig, o: Ontology, corpus: AnnotationCorpus, expr_a: ExpressionMatrix
 ) -> tuple[DistanceMatrix, DistanceMatrix]:
-    d_e = expression_distance_matrix(expr_a, cfg.metric)
-    d_go = semantic_distance_matrix(o, corpus, expr_a.genes, cfg.similarity)
+    """``_matrices``, also written with their histograms."""
+    d_e, d_go = _matrices(cfg, o, corpus, expr_a)
     for name, dm in (("d_e", d_e), ("d_go", d_go)):
         _write(cfg.out_dir, f"{name}.tsv", write_distance_tsv(dm))
         _write(cfg.out_dir, f"hist_{name}.csv", _histogram_csv(dm))
@@ -364,28 +368,20 @@ def _distances(
 
 
 def _tune(
-    cfg: PipelineConfig,
-    o: Ontology,
-    corpus: AnnotationCorpus,
-    expr_a: ExpressionMatrix,
-    d_e: DistanceMatrix | None = None,
-    d_go: DistanceMatrix | None = None,
+    cfg: PipelineConfig, expr_a: ExpressionMatrix, d_e: DistanceMatrix, d_go: DistanceMatrix
 ) -> float:
     """Run ``tune_gamma``, write ``tuning.json``/``tuning.csv``, return the best gamma."""
     report = tune_gamma(
         expr_a,
-        o,
-        corpus,
+        d_e,
+        d_go,
         cfg.k,
         grid_step=cfg.grid_step,
         runs=cfg.runs,
         split=cfg.split,
         seed=cfg.seed,
         metric=cfg.metric,
-        kind=cfg.similarity,
         seeding=cfg.seeding,
-        d_e=d_e,
-        d_go=d_go,
     )
     _write(cfg.out_dir, "tuning.json", report.to_json())
     _write(cfg.out_dir, "tuning.csv", report.to_csv())
@@ -412,7 +408,8 @@ def _fuse(
 def _assign(
     cfg: PipelineConfig, part: Partition, expr_a: ExpressionMatrix, expr_b: ExpressionMatrix
 ) -> Partition:
-    """Attach the B genes by expression distance and write ``partition.tsv``."""
+    """Attach the B genes by expression distance, percentile-equalized under
+    ``balancing=percentile`` and raw otherwise, and write ``partition.tsv``."""
     if expr_a.conditions != expr_b.conditions:
         raise DataError("A and B expression files have different condition columns")
     overlap = set(expr_a.genes) & set(expr_b.genes)
@@ -424,7 +421,7 @@ def _assign(
         np.vstack([expr_a.values, expr_b.values]),
     )
     d_ab = expression_distance_matrix(combined, cfg.metric)
-    if cfg.resolved_assign_distance() == "equalized":
+    if cfg.balancing == "percentile":
         d_ab = percentile_equalize(d_ab, cfg.m)
     part = assign_b(part, d_ab)
     _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
@@ -537,12 +534,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         stage = "balancing"
         tuned = None
         if cfg.balancing == "gamma_tuning":
-            tuned = _tune(cfg, o, corpus, expr_a, d_e, d_go)
+            tuned = _tune(cfg, expr_a, d_e, d_go)
         gamma_used, d_gamma = _fuse(cfg, d_e, d_go, tuned)
         manifest["balancing"] = {
             "mode": cfg.balancing,
             "gamma_used": gamma_used,
-            "assign_distance": cfg.resolved_assign_distance(),
+            "assign_distance": "equalized" if cfg.balancing == "percentile" else "raw",
         }
         stages[stage] = "ok"
 
@@ -611,7 +608,8 @@ def cmd_distances(cfg: PipelineConfig) -> None:
 
 def cmd_tune_gamma(cfg: PipelineConfig) -> None:
     cfg.require("obo", "annotations", "expression_a", "out_dir", "seed", "k")
-    print(f"best_gamma\t{_tune(cfg, *_load_a(cfg)):.10g}")
+    o, corpus, expr_a = _load_a(cfg)
+    print(f"best_gamma\t{_tune(cfg, expr_a, *_matrices(cfg, o, corpus, expr_a)):.10g}")
 
 
 def cmd_cluster(cfg: PipelineConfig) -> None:
@@ -693,7 +691,7 @@ COMMANDS = {
                 ("d_e", "d_go", "out_dir", "balancing", "seeding", "gamma", "m", "k")),
     "assign": ("attach unannotated genes to clusters", cmd_assign,
                ("expression_a", "expression_b", "partition", "out_dir", "metric", "balancing",
-                "assign_distance", "m")),
+                "m")),
     "enrich": ("over-representation analysis per cluster", cmd_enrich,
                (*_LOAD_PARTITION, "correction", "alpha")),
     "infer": ("transfer enriched terms to unannotated genes", cmd_infer,

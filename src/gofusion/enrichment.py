@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .annotations import AnnotationCorpus, GeneId
 from .clustering import Cluster, Partition
 from .errors import ConfigError, DataError
@@ -255,17 +257,22 @@ def export_term_graph(
 
     Styling: inferred-only terms are dashed, terms both inferred and in the
     truth are bold ellipses, truth-only terms carry a thick border; plain
-    ancestors provide context.  Nodes and edges are emitted in sorted order
-    so output is reproducible.
+    ancestors provide context.  The closure is the OR of the terms'
+    ``closure_bits``, decoded once.  Nodes and edges are emitted in sorted
+    order so output is reproducible.
     """
     inferred_terms = {t for rec in inferred for t, _ in rec.terms}
     truth_terms: set[TermId] = set()
     if truth:
         for ts in truth.values():
             truth_terms |= set(ts)
-    closure: set[TermId] = set()
+    mask = 0
     for t in sorted(inferred_terms | truth_terms):
-        closure |= o.ancestors(t)
+        bits = o.closure_bits.get(t)
+        if bits is None:
+            o.ancestors(t)  # unknown or obsolete: raises UnknownIdError
+        mask |= bits
+    closure = {o.topo_order[j] for j in np.flatnonzero(o.bit_rows([mask])[0]).tolist()}
     matching = inferred_terms & truth_terms
     lines = ["digraph term_graph {", "  rankdir=BT;", '  node [shape=box];']
     for t in sorted(closure):

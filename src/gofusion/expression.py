@@ -140,37 +140,6 @@ def load_expression(data: bytes | str) -> ExpressionMatrix:
     return ExpressionMatrix(tuple(genes), conditions, np.array(rows, dtype=float))
 
 
-def l2_normalize_blocks(
-    m: ExpressionMatrix, blocks: list[tuple[int, int]]
-) -> ExpressionMatrix:
-    """Divide each gene's sub-vector by its Euclidean norm, per condition block.
-
-    ``blocks`` are half-open [start, stop) column ranges that must partition
-    the condition indices; use one block for single-experiment data.  Meant
-    for concatenating multiple experiments on a comparable scale.
-    """
-    n_cond = len(m.conditions)
-    covered: list[int] = []
-    for start, stop in blocks:
-        if not 0 <= start < stop <= n_cond:
-            raise ValidationError(f"block ({start}, {stop}) out of range")
-        covered.extend(range(start, stop))
-    if sorted(covered) != list(range(n_cond)) or len(covered) != n_cond:
-        raise ValidationError("blocks must partition the condition indices")
-    out = m.values.copy()
-    for start, stop in blocks:
-        sub = out[:, start:stop]
-        norms = np.sqrt((sub * sub).sum(axis=1))
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise DegenerateError(
-                f"gene {m.genes[zero[0]]!r} has an all-zero vector in block "
-                f"({start}, {stop})"
-            )
-        out[:, start:stop] = sub / norms[:, None]
-    return ExpressionMatrix(m.genes, m.conditions, out)
-
-
 class PreparedRows:
     """Expression rows in the form one metric's formula reads, computed once.
 

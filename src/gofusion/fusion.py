@@ -18,20 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import AnnotationCorpus
 from .clustering import PAM_BUILD, Cluster, Partition, cluster_a
 from .errors import ConfigError
-from .expression import (
-    EUCLIDEAN,
-    METRICS,
-    DistanceMatrix,
-    ExpressionMatrix,
-    PreparedRows,
-    expression_distance_matrix,
-)
+from .expression import EUCLIDEAN, METRICS, DistanceMatrix, ExpressionMatrix, PreparedRows
 from .metrics import semantic_compactness
-from .ontology import Ontology
-from .semantic import RELEVANCE, semantic_distance_matrix
 
 
 def combine_gamma(d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float) -> DistanceMatrix:
@@ -157,18 +147,15 @@ def _centroid_assign(
 
 def tune_gamma(
     expr: ExpressionMatrix,
-    o: Ontology,
-    c: AnnotationCorpus,
+    d_e: DistanceMatrix,
+    d_go: DistanceMatrix,
     k: int,
     grid_step: float = 0.05,
     runs: int = 10,
     split: float = 0.5,
     seed: int = 0,
     metric: str = EUCLIDEAN,
-    kind: str = RELEVANCE,
     seeding: str = PAM_BUILD,
-    d_e: DistanceMatrix | None = None,
-    d_go: DistanceMatrix | None = None,
 ) -> TuningReport:
     """Grid search over gamma, scoring each value by semantic compactness.
 
@@ -180,8 +167,10 @@ def tune_gamma(
     report is reproducible.  The best gamma is the curve's argmin, ties
     resolved toward the smallest gamma.
 
-    Precomputed ``d_e`` / ``d_go`` matrices over exactly ``expr.genes`` may
-    be supplied to avoid recomputation.
+    ``d_e`` and ``d_go`` are the expression and semantic distance matrices
+    over exactly ``expr.genes``, in order; ``metric`` is the expression
+    metric ``d_e`` was built with, which the held-out genes' centroid
+    distances also use.
     """
     if k < 2:
         raise ConfigError(f"k must be at least 2, got {k}")
@@ -207,12 +196,8 @@ def tune_gamma(
     if k > n1:
         raise ConfigError(f"k={k} exceeds the kept subset size {n1}")
 
-    if d_e is None:
-        d_e = expression_distance_matrix(expr, metric)
-    if d_go is None:
-        d_go = semantic_distance_matrix(o, c, genes, kind)
     if d_e.genes != expr.genes or d_go.genes != expr.genes:
-        raise ConfigError("precomputed matrices must cover expr.genes in order")
+        raise ConfigError("d_e and d_go must cover expr.genes in order")
 
     grid = tuple(i / steps for i in range(steps + 1))
 

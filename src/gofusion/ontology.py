@@ -181,19 +181,6 @@ class Ontology:
             packed.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little"
         )
 
-    def descendants(self, t: TermId) -> set[TermId]:
-        """Reflexive transitive child closure of ``t`` (inverse of ancestors)."""
-        self._live(t)
-        seen = {t}
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            for child in self._children[cur]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
-
     def namespace_root(self, namespace: str) -> TermId:
         try:
             return self.roots[namespace]

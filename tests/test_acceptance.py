@@ -250,8 +250,8 @@ def directional_runs():
         d_e = expression_distance_matrix(expr_a, "euclidean")
         d_go = semantic_distance_matrix(ds.ontology, corpus_a, expr_a.genes)
         report = tune_gamma(
-            expr_a, ds.ontology, corpus_a, k=k, grid_step=0.05,
-            runs=tuning_runs, split=0.5, seed=seed, d_e=d_e, d_go=d_go,
+            expr_a, d_e, d_go, k=k, grid_step=0.05,
+            runs=tuning_runs, split=0.5, seed=seed,
         )
         p_gam = cluster_a(combine_gamma(d_e, d_go, report.best_gamma), k)
         p_cls = cluster_a(combine_gamma(d_e, d_go, 0.0), k)
@@ -368,9 +368,10 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
 def test_criterion_10_tuning_contract():
     ds = make_dataset(seed=6, subgroups_per_family=6, genes_per_subgroup=5)
-    report = tune_gamma(
-        ds.expression_a(), ds.ontology, ds.corpus_a(), k=6, seed=3
-    )
+    expr_a = ds.expression_a()
+    d_e = expression_distance_matrix(expr_a, "euclidean")
+    d_go = semantic_distance_matrix(ds.ontology, ds.corpus_a(), expr_a.genes)
+    report = tune_gamma(expr_a, d_e, d_go, k=6, seed=3)
     grid_ok = len(report.grid) == 21
     runs_ok = all(len(r) == 10 for r in report.sc_runs)
     split_ok = report.split == 0.5

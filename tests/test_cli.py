@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,7 @@ class TestSubcommandFlags:
             ["enrich", "--metric", "pearson"],
             ["infer", "--similarity", "lin"],
             ["eval", "--alpha", "0.01"],
+            ["pipeline", "--assign-distance", "raw"],  # follows from --balancing
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -248,6 +250,27 @@ class TestPipeline:
         assert rc == 0
         for f in ("partition.tsv", "inferred.tsv", "metrics.json", "d_gamma.tsv"):
             assert (first / f).read_bytes() == (redo / f).read_bytes()
+
+    def test_manifest_unknown_option(self, data_dir, tmp_path):
+        first = tmp_path / "first"
+        main(pipeline_args(data_dir, first, "--balancing", "percentile"))
+        manifest = json.loads((first / "run_manifest.json").read_text())
+        # an unset option that this version no longer has replays unchanged
+        manifest["config"]["assign_distance"] = None
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["pipeline", "--from-manifest", str(old), "--out-dir", str(tmp_path / "redo")]) == 0
+        for f in ("partition.tsv", "inferred.tsv", "metrics.json"):
+            assert (first / f).read_bytes() == (tmp_path / "redo" / f).read_bytes()
+        # a set one would replay another run than the manifest names
+        manifest["config"]["assign_distance"] = "raw"
+        old.write_text(json.dumps(manifest))
+        res = run_cli("pipeline", "--from-manifest", str(old), "--out-dir", str(tmp_path / "x"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "ConfigError" in res.stderr
+        assert "unknown option 'assign_distance'" in res.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestStagedSubcommands:
@@ -548,34 +571,45 @@ class TestExitCodes:
              3, "cannot reach the biological_process root"),
             ("distances", "--expression-a", "", 3, "empty expression file"),
             ("cluster", "--d-e", "gene_id\ta\tb\na\t0\t1\n", 3, "expected 2 data rows"),
-            # the BOM makes the header a data row in a foreign namespace
-            ("distances", "--annotations", "\ufeff", 0, ""),
+            # a UTF-8 byte-order mark is dropped, so the header stays a header
+            ("pipeline", "--annotations", "\ufeff", 0, ""),
+            ("enrich", "--partition", "\ufeff", 0, ""),
         ],
         ids=["obsolete-parent", "self-loop", "two-roots", "stranded-term",
-             "empty-expression", "non-square-distances", "bom-annotations"],
+             "empty-expression", "non-square-distances", "bom-annotations", "bom-partition"],
     )
     def test_bad_input_exit_code(
         self, data_dir, run_dir, tmp_path, command, flag, damage, code, message
     ):
+        out = tmp_path / "out"
+        ann = ["--obo", str(data_dir / "go.obo"), "--annotations", str(data_dir / "annotations.tsv")]
         if command == "cluster":
             argv = ["cluster", "--d-e", "", "--d-go", str(run_dir / "d_go.tsv"),
                     "--balancing", "percentile", "--k", "2"]
+        elif command == "pipeline":
+            argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        elif command == "enrich":
+            argv = ["enrich", *ann, "--partition", str(run_dir / "partition.tsv")]
         else:
-            argv = [
-                "distances",
-                "--obo", str(data_dir / "go.obo"),
-                "--annotations", str(data_dir / "annotations.tsv"),
-                "--expression-a", str(data_dir / "expression_a.tsv"),
-            ]
+            argv = ["distances", *ann, "--expression-a", str(data_dir / "expression_a.tsv")]
         bad = tmp_path / "bad"
+        good = Path(argv[argv.index(flag) + 1])
         if flag == "--obo":  # a well-formed release with the damage appended
-            bad.write_text((data_dir / "go.obo").read_text() + "\n" + damage)
-        elif flag == "--annotations":
-            bad.write_text(damage + (data_dir / "annotations.tsv").read_text())
+            bad.write_text(good.read_text() + "\n" + damage)
+        elif damage == "\ufeff":  # a well-formed file behind a byte-order mark
+            bad.write_bytes(damage.encode("utf-8") + good.read_bytes())
         else:
             bad.write_text(damage)
         argv[argv.index(flag) + 1] = str(bad)
-        res = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        res = run_cli(*argv, "--out-dir", str(out))
         assert res.returncode == code, res.stderr
         assert "Traceback" not in res.stderr
         assert message in res.stderr
+        if command == "pipeline":  # loaded as the file without the mark, digested with it
+            recorded = json.loads((out / "run_manifest.json").read_text())["inputs"]["annotations"]
+            o = parse_obo((data_dir / "go.obo").read_bytes())
+            expected = load_annotations(good.read_bytes(), o, BP).diagnostics
+            assert recorded["diagnostics"] == asdict(expected)
+            assert recorded["sha256"] == sha256(bad.read_bytes()).hexdigest()
+        elif command == "enrich":
+            assert (out / "enrichment.tsv").read_bytes() == (run_dir / "enrichment.tsv").read_bytes()

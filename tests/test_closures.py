@@ -1,6 +1,8 @@
 """The ancestor bitsets against the DFS closures and set-union counts they replace."""
 
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gofusion import annotations  # noqa: E402
-from gofusion.annotations import build_corpus  # noqa: E402
+from gofusion.annotations import build_corpus, load_annotations  # noqa: E402
+from gofusion.enrichment import InferredAnnotation, export_term_graph  # noqa: E402
+from gofusion.ontology import parse_obo  # noqa: E402
 from gofusion.semantic import _ancestor_columns  # noqa: E402
 
 from test_roundtrip import ontologies  # noqa: E402
@@ -79,3 +83,77 @@ def test_ancestor_columns_equal_dfs_reference(corpus):
     runs = [sorted(col_of[t] for t in a) for a in anc]
     assert flat.tolist() == [k for ks in runs for k in ks]
     assert starts.tolist() == [sum(map(len, runs[:a])) for a in range(len(terms))]
+
+
+def reference_term_graph(inferred, truth, o):
+    """``export_term_graph`` as written before the bitsets: one DFS closure per term."""
+    inferred_terms = {t for rec in inferred for t, _ in rec.terms}
+    truth_terms = set()
+    if truth:
+        for ts in truth.values():
+            truth_terms |= set(ts)
+    closure = set()
+    for t in sorted(inferred_terms | truth_terms):
+        closure |= o.ancestors(t)
+    matching = inferred_terms & truth_terms
+    lines = ["digraph term_graph {", "  rankdir=BT;", '  node [shape=box];']
+    for t in sorted(closure):
+        name = o.terms[t].name
+        label = f"{t}\\n{name}" if name else t
+        if t in matching:
+            attrs = f'label="{label}", shape=ellipse, style=bold'
+        elif t in inferred_terms:
+            attrs = f'label="{label}", style=dashed'
+        elif t in truth_terms:
+            attrs = f'label="{label}", penwidth=3'
+        else:
+            attrs = f'label="{label}"'
+        lines.append(f'  "{t}" [{attrs}];')
+    for t in sorted(closure):
+        for parent, _kind in sorted(o.terms[t].parents):
+            if parent in closure:
+                lines.append(f'  "{t}" -> "{parent}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def as_inferred(direct):
+    return [
+        InferredAnnotation(g, tuple((t, 0.01) for t in sorted(ts)), i, True)
+        for i, (g, ts) in enumerate(sorted(direct.items()))
+    ]
+
+
+@st.composite
+def term_graph_inputs(draw):
+    """An ontology, inferred records over its live terms, and truth or None."""
+    o = draw(ontologies())
+    terms = st.frozensets(st.sampled_from(o.topo_order), min_size=1, max_size=4)
+    genes = st.sampled_from(("b0", "b1", "b2"))
+    inferred = draw(st.dictionaries(genes, terms))
+    truth = draw(st.none() | st.dictionaries(genes, terms, min_size=1))
+    return o, as_inferred(inferred), truth
+
+
+@settings(deadline=None)
+@given(term_graph_inputs())
+def test_term_graph_equals_dfs_reference(inputs):
+    o, records, truth = inputs
+    assert export_term_graph(records, truth, o) == reference_term_graph(records, truth, o)
+
+
+def test_term_graph_equals_dfs_reference_on_godag(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import godag
+    finally:
+        sys.path.pop(0)
+    files = godag.write_godag(3, tmp_path)
+    o = parse_obo(files["obo"].read_bytes())
+    bp = "biological_process"
+    direct = load_annotations(files["annotations"].read_bytes(), o, bp).direct
+    truth = dict(load_annotations(files["truth"].read_bytes(), o, bp).direct)
+    records = as_inferred(dict(sorted(direct.items())[:30]))
+    dot = export_term_graph(records, truth, o)
+    assert dot == reference_term_graph(records, truth, o)
+    assert dot.count(" -> ") > 100

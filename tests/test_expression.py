@@ -7,7 +7,6 @@ from gofusion.expression import (
     DistanceMatrix,
     ExpressionMatrix,
     expression_distance_matrix,
-    l2_normalize_blocks,
     load_expression,
     read_distance_tsv,
     write_distance_tsv,
@@ -50,32 +49,6 @@ class TestLoadExpression:
     def test_single_condition_rejected(self):
         with pytest.raises((ParseError, ValidationError)):
             load_expression("gene_id\tc1\ng1\t1\ng2\t2\n")
-
-
-class TestL2Blocks:
-    def test_single_block(self):
-        out = l2_normalize_blocks(em([[3.0, 4.0]]), [(0, 2)])
-        assert out.values.tolist() == [[0.6, 0.8]]
-
-    def test_two_blocks(self):
-        out = l2_normalize_blocks(em([[3.0, 4.0, 0.0, 2.0]]), [(0, 2), (2, 4)])
-        assert out.values.tolist() == [[0.6, 0.8, 0.0, 1.0]]
-
-    def test_unit_norm_rows(self):
-        rng = np.random.default_rng(3)
-        m = em(rng.normal(size=(5, 6)) + 0.1)
-        out = l2_normalize_blocks(m, [(0, 6)])
-        assert np.allclose(np.linalg.norm(out.values, axis=1), 1.0)
-
-    def test_zero_subvector(self):
-        with pytest.raises(DegenerateError, match="g0"):
-            l2_normalize_blocks(em([[0.0, 0.0, 1.0, 1.0]]), [(0, 2), (2, 4)])
-
-    def test_blocks_must_partition(self):
-        with pytest.raises(ValidationError):
-            l2_normalize_blocks(em([[1.0, 2.0, 3.0]]), [(0, 2)])
-        with pytest.raises(ValidationError):
-            l2_normalize_blocks(em([[1.0, 2.0, 3.0]]), [(0, 2), (1, 3)])
 
 
 class TestExpressionDistance:

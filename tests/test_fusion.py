@@ -3,7 +3,7 @@ import pytest
 
 from gofusion.clustering import Cluster, Partition
 from gofusion.errors import AlignmentError, ConfigError
-from gofusion.expression import DistanceMatrix, ExpressionMatrix
+from gofusion.expression import DistanceMatrix, ExpressionMatrix, expression_distance_matrix
 from gofusion.fusion import (
     TuningReport,
     _centroid_assign,
@@ -12,6 +12,7 @@ from gofusion.fusion import (
     percentile_equalize,
     tune_gamma,
 )
+from gofusion.semantic import semantic_distance_matrix
 from gofusion.synth import make_dataset
 
 from conftest import random_distance_matrix
@@ -94,6 +95,13 @@ class TestPercentileEqualize:
             percentile_equalize(random_distance_matrix(rng, 4), 1)
 
 
+def tuning_inputs(ds, corpus):
+    """The A expression matrix and the two distance matrices ``tune_gamma`` takes."""
+    expr = ds.expression_a()
+    d_e = expression_distance_matrix(expr, "euclidean")
+    return expr, d_e, semantic_distance_matrix(ds.ontology, corpus, expr.genes)
+
+
 class TestTuneGamma:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -101,12 +109,10 @@ class TestTuneGamma:
         return make_dataset(seed=42, subgroups_per_family=4, genes_per_subgroup=6)
 
     def test_deterministic_and_argmin(self, small_dataset):
-        ds = small_dataset
-        corpus = ds.corpus_a()
-        expr = ds.expression_a()
+        inputs = tuning_inputs(small_dataset, small_dataset.corpus_a())
         kwargs = dict(k=4, grid_step=0.25, runs=3, split=0.5, seed=11)
-        r1 = tune_gamma(expr, ds.ontology, corpus, **kwargs)
-        r2 = tune_gamma(expr, ds.ontology, corpus, **kwargs)
+        r1 = tune_gamma(*inputs, **kwargs)
+        r2 = tune_gamma(*inputs, **kwargs)
         assert r1 == r2
         assert r1.best_gamma == r1.grid[int(np.argmin(r1.sc_curve))]
         assert len(r1.grid) == 5
@@ -126,30 +132,28 @@ class TestTuneGamma:
         from gofusion.annotations import build_corpus
 
         corpus = build_corpus(scrambled, ds.ontology, "biological_process")
-        report = tune_gamma(
-            ds.expression_a(), ds.ontology, corpus, k=3, grid_step=0.25, runs=6, seed=2
-        )
+        report = tune_gamma(*tuning_inputs(ds, corpus), k=3, grid_step=0.25, runs=6, seed=2)
         spread = max(report.sc_curve) - min(report.sc_curve)
         sem = [np.std(runs) / np.sqrt(len(runs)) for runs in report.sc_runs]
         assert spread <= 4.0 * max(max(sem), 1e-3)
 
     def test_parameter_validation(self, small_dataset):
-        ds = small_dataset
-        corpus = ds.corpus_a()
-        expr = ds.expression_a()
+        inputs = tuning_inputs(small_dataset, small_dataset.corpus_a())
         with pytest.raises(ConfigError):
-            tune_gamma(expr, ds.ontology, corpus, k=1, seed=1)
+            tune_gamma(*inputs, k=1, seed=1)
         with pytest.raises(ConfigError):
-            tune_gamma(expr, ds.ontology, corpus, k=3, split=1.0, seed=1)
+            tune_gamma(*inputs, k=3, split=1.0, seed=1)
         with pytest.raises(ConfigError):
-            tune_gamma(expr, ds.ontology, corpus, k=3, grid_step=0.3, seed=1)
+            tune_gamma(*inputs, k=3, grid_step=0.3, seed=1)
         with pytest.raises(ConfigError):
-            tune_gamma(expr, ds.ontology, corpus, k=200, seed=1)
+            tune_gamma(*inputs, k=200, seed=1)
+        expr, d_e, d_go = inputs
+        with pytest.raises(ConfigError, match="in order"):
+            tune_gamma(expr, d_e.restrict(list(reversed(d_e.genes))), d_go, k=3, seed=1)
 
     def test_report_serialization(self, small_dataset):
-        ds = small_dataset
         report = tune_gamma(
-            ds.expression_a(), ds.ontology, ds.corpus_a(), k=3,
+            *tuning_inputs(small_dataset, small_dataset.corpus_a()), k=3,
             grid_step=0.5, runs=2, seed=7,
         )
         blob = report.to_json()

@@ -33,18 +33,26 @@ def test_ancestors_examples(fixture_ontology):
     assert o.ancestors("GO:0000002") == {"GO:0000002", ROOT}
 
 
-def test_descendants_examples(fixture_ontology):
-    o = fixture_ontology
-    assert o.descendants(ROOT) == set(o.topo_order)
-    assert o.descendants("GO:0000003") == {"GO:0000003"}
-
-
 def test_ancestor_descendant_inverse(fixture_ontology):
     o = fixture_ontology
+    children = {t: [] for t in o.topo_order}
+    for t in o.topo_order:
+        for parent, _ in o.terms[t].parents:
+            children[parent].append(t)
+
+    def descendants(u):
+        seen, stack = {u}, [u]
+        while stack:
+            for child in children[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
+
     live = o.topo_order
     for u in live:
         for t in live:
-            assert (u in o.ancestors(t)) == (t in o.descendants(u))
+            assert (u in o.ancestors(t)) == (t in descendants(u))
 
 
 def test_ancestors_kept_after_first_call():
@@ -63,7 +71,6 @@ def test_reflexive(fixture_ontology):
     o = fixture_ontology
     for t in o.topo_order:
         assert t in o.ancestors(t)
-        assert t in o.descendants(t)
 
 
 def test_obsolete_quarantined():
@@ -126,7 +133,6 @@ def test_part_of_edges_and_is_a_filter():
     )
     o = parse_obo(text)
     assert o.ancestors("GO:0000006") == {"GO:0000006", "GO:0000002", ROOT}
-    assert "GO:0000006" in o.descendants("GO:0000002")
 
 
 def test_crlf_and_bytes_input():
