@@ -140,8 +140,9 @@ def load_annotations(
     (default ``{"ND"}``) are dropped; rows referencing unknown or obsolete
     terms are dropped with a counted warning; genes left without any term
     are dropped.  Raises :class:`EmptyCorpusError` if nothing survives.
+    A UTF-8 byte-order mark before ``data`` bytes is dropped.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     direct: dict[GeneId, set[TermId]] = {}
     seen_genes: set[GeneId] = set()
     total = kept = wrong_ns = excluded = unknown = dup = 0

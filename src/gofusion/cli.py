@@ -19,14 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import resource
 import sys
-from contextlib import suppress
+import time
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
 from inspect import signature
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import TextIO, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .expression import (
     expression_distance_matrix,
     load_expression,
     read_distance_tsv,
+    upper_triangle,
     write_distance_tsv,
 )
 from .fusion import combine_gamma, percentile_equalize, tune_gamma
@@ -318,8 +322,8 @@ def _load_partition_inputs(
 
 
 def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
-    iu = np.triu_indices(len(dm.genes), k=1)
-    counts, edges = np.histogram(dm.d[iu], bins=bins, range=(0.0, 1.0))
+    upper = dm.d[upper_triangle(len(dm.genes))]
+    counts, edges = np.histogram(upper, bins=bins, range=(0.0, 1.0))
     mids = (edges[:-1] + edges[1:]) / 2.0
     lines = ["value,count"]
     for v, n in zip(mids, counts):
@@ -327,13 +331,30 @@ def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    """Write one output file; an ``out_dir`` that cannot hold it is a ConfigError."""
+@contextmanager
+def _output(out_dir: Path, name: str) -> Iterator[TextIO]:
+    """One output file, open for writing text; an ``out_dir`` that cannot
+    hold it is a ConfigError, also when a write into it fails."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text, newline="\n")
+        with (out_dir / name).open("w", newline="\n") as f:
+            yield f
     except OSError as e:
         raise ConfigError(f"cannot write {name} to out_dir {out_dir}: {e}") from None
+
+
+# ru_maxrss counts KiB on Linux and bytes on macOS
+_RSS_PER_MB = 1024 * 1024 if sys.platform == "darwin" else 1024
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_PER_MB
+
+
+def _write(out_dir: Path, name: str, text: str) -> None:
+    with _output(out_dir, name) as f:
+        f.write(text)
 
 
 def _merged_corpus(
@@ -362,7 +383,8 @@ def _distances(
     """``_matrices``, also written with their histograms."""
     d_e, d_go = _matrices(cfg, o, corpus, expr_a)
     for name, dm in (("d_e", d_e), ("d_go", d_go)):
-        _write(cfg.out_dir, f"{name}.tsv", write_distance_tsv(dm))
+        with _output(cfg.out_dir, f"{name}.tsv") as f:
+            write_distance_tsv(dm, f)
         _write(cfg.out_dir, f"hist_{name}.csv", _histogram_csv(dm))
     return d_e, d_go
 
@@ -401,7 +423,8 @@ def _fuse(
     else:
         gamma = float(cfg.gamma) if gamma is None else gamma
         d_gamma = combine_gamma(d_e, d_go, gamma)
-    _write(cfg.out_dir, "d_gamma.tsv", write_distance_tsv(d_gamma))
+    with _output(cfg.out_dir, "d_gamma.tsv") as f:
+        write_distance_tsv(d_gamma, f)
     return gamma, d_gamma
 
 
@@ -503,6 +526,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         raise ConfigError(f"cannot write to out_dir {out}: {e}") from None
     cfg.require("obo", "annotations", "expression_a", "expression_b", "seed", "k")
     stages: dict[str, str] = {}
+    profile: dict[str, dict[str, float]] = {}
     inputs: dict[str, dict] = {}
     manifest: dict = {
         "config": cfg.as_manifest_dict(),
@@ -513,11 +537,21 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         },
         "inputs": inputs,
         "stages": stages,
+        "profile": profile,
     }
 
     def finish_manifest() -> None:
         _write(out, "run_manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
+    def end_stage(status: str) -> None:
+        """Record the status of ``stage``, its wall time and the peak RSS so far."""
+        nonlocal clock
+        now = time.perf_counter()
+        stages[stage] = status
+        profile[stage] = {"wall_s": now - clock, "peak_rss_mb": _peak_rss_mb()}
+        clock = now
+
+    clock = time.perf_counter()
     try:
         stage = "load"
         o, corpus, expr_a = _load_a(cfg, inputs)
@@ -525,11 +559,11 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         manifest["gene_universe_size"] = corpus.gene_universe_size
         expr_b = load_expression(_read(cfg, "expression_b", inputs))
         truth = _load_truth(cfg, o, inputs)
-        stages[stage] = "ok"
+        end_stage("ok")
 
         stage = "distances"
         d_e, d_go = _distances(cfg, o, corpus, expr_a)
-        stages[stage] = "ok"
+        end_stage("ok")
 
         stage = "balancing"
         tuned = None
@@ -541,11 +575,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             "gamma_used": gamma_used,
             "assign_distance": "equalized" if cfg.balancing == "percentile" else "raw",
         }
-        stages[stage] = "ok"
+        end_stage("ok")
 
         stage = "cluster"
         part = cluster_a(d_gamma, cfg.k, cfg.seeding)
-        stages[stage] = "ok"
+        del d_e, d_gamma  # the later stages read d_go and the expression only
+        end_stage("ok")
 
         stage = "assign"
         part = _assign(cfg, part, expr_a, expr_b)
@@ -559,12 +594,12 @@ def run_pipeline(cfg: PipelineConfig) -> None:
                 extra={"balancing": cfg.balancing, "ontology_digest": o.source_digest},
             ),
         )
-        stages[stage] = "ok"
+        end_stage("ok")
 
         stage = "enrich"
         _enrich(cfg, part, corpus)
         inferred = _infer(cfg, part, corpus, o, truth)
-        stages[stage] = "ok"
+        end_stage("ok")
 
         stage = "metrics"
         report = MetricReport()
@@ -576,10 +611,10 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             _recall(cfg, report, inferred, truth, scope, o)
         _score(report, assigned_subpartition(part), scope, d_scored)
         _write(out, "metrics.json", report.to_json())
-        stages[stage] = "ok"
+        end_stage("ok")
         finish_manifest()
     except GofusionError as e:
-        stages[stage] = "failed"
+        end_stage("failed")
         record = {"stage": stage, "error": type(e).__name__, "message": str(e)}
         with suppress(ConfigError):  # an out_dir that takes no file keeps no record
             _write(out, "error.json", json.dumps(record, sort_keys=True, indent=2) + "\n")

@@ -20,7 +20,14 @@ import numpy as np
 
 from .clustering import PAM_BUILD, Cluster, Partition, cluster_a
 from .errors import ConfigError
-from .expression import EUCLIDEAN, METRICS, DistanceMatrix, ExpressionMatrix, PreparedRows
+from .expression import (
+    EUCLIDEAN,
+    METRICS,
+    DistanceMatrix,
+    ExpressionMatrix,
+    PreparedRows,
+    upper_triangle,
+)
 from .metrics import semantic_compactness
 
 
@@ -29,18 +36,35 @@ def combine_gamma(d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float) -> Di
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
     d_e.require_same_genes(d_go)
-    blended = gamma * d_go.d + (1.0 - gamma) * d_e.d
+    blended = np.multiply(gamma, d_go.d)
+    blended += (1.0 - gamma) * d_e.d  # one n x n temporary, not two
     np.clip(blended, 0.0, 1.0, out=blended)
     np.fill_diagonal(blended, 0.0)
     return DistanceMatrix(d_e.genes, blended)
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged (returned doubled to stay integral)."""
-    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return (starts + ends)[inv]  # == 2 * average rank
+    """1-based ranks, ties averaged (returned doubled to stay integral).
+
+    One argsort; a tie group is a run of equal values in sorted order (so
+    ``-0.0`` ties with ``0.0``), and a value's doubled rank is its group's
+    first plus last 1-based position, each spread over the run by a scan.
+    """
+    n = v.size
+    order = np.argsort(v)
+    s = v[order]
+    tie = s[1:] == s[:-1]  # sorted positions p and p + 1 hold equal values
+    del s
+    first = np.arange(n)  # 0-based start of each sorted position's tie group
+    first[1:][tie] = 0
+    np.maximum.accumulate(first, out=first)
+    doubled = np.arange(1, n + 1)  # 1-based end of the group
+    doubled[:-1][tie] = n
+    np.minimum.accumulate(doubled[::-1], out=doubled[::-1])
+    doubled += first
+    doubled += 1
+    first[order] = doubled  # back to the order of ``v``
+    return first
 
 
 def equalize_values(vals: np.ndarray, m: int) -> np.ndarray:
@@ -56,10 +80,13 @@ def equalize_values(vals: np.ndarray, m: int) -> np.ndarray:
     if vals.size == 0:
         return vals.copy()
     double_ranks = _average_ranks(vals)
-    # all-integer numerator keeps the ceil exact
-    j = np.ceil(double_ranks * m / (2.0 * vals.size))
+    double_ranks *= m  # all-integer numerator keeps the ceil exact
+    j = np.true_divide(double_ranks, 2.0 * vals.size)
+    np.ceil(j, out=j)
     np.clip(j, 1, m, out=j)
-    return (j - 0.5) / m
+    j -= 0.5
+    j /= m
+    return j
 
 
 def percentile_equalize(d: DistanceMatrix, m: int) -> DistanceMatrix:
@@ -68,14 +95,18 @@ def percentile_equalize(d: DistanceMatrix, m: int) -> DistanceMatrix:
     Each off-diagonal value is replaced by its percentile-bin midpoint and
     mirrored back; the diagonal stays 0.  Applying this to both distance
     sources gives them near-uniform, directly comparable distributions.
+    The triangle is read and written through one boolean mask, and the
+    mirror is written through the transposed view, so besides the result
+    only O(n^2 / 2) values and their ranks are held.
     """
     n = len(d.genes)
     if n < 2:
         raise ConfigError("matrix needs at least one off-diagonal pair")
-    iu = np.triu_indices(n, k=1)
+    upper = upper_triangle(n)
+    vals = equalize_values(d.d[upper], m)
     out = np.zeros_like(d.d)
-    out[iu] = equalize_values(d.d[iu], m)
-    out = out + out.T
+    out[upper] = vals
+    out.T[upper] = vals
     return DistanceMatrix(d.genes, out)
 
 

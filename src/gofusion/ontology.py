@@ -191,13 +191,14 @@ class Ontology:
 def parse_obo(data: bytes | str) -> Ontology:
     """Parse OBO 1.2 flat text into an :class:`Ontology`.
 
-    Accepts UTF-8 bytes or text with LF or CRLF endings.  Unknown stanzas
-    and tags are skipped.
+    Accepts UTF-8 bytes or text with LF or CRLF endings; a byte-order mark
+    before the bytes is dropped, and ``source_digest`` still covers it.
+    Unknown stanzas and tags are skipped.
     Obsolete terms are retained with their parent edges dropped.
     """
     if isinstance(data, bytes):
         digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     else:
         digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
         text = data

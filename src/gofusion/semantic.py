@@ -213,6 +213,8 @@ def semantic_distance_matrix(
     ``half[j, i]`` is the other side of the pair's best-match average.
     Genes with equal term counts are gathered together, so each mean is a
     row mean with numpy's 1-D summation order, as in the scalar path.
+    Each pair is summed as ``half[i, j] + half[j, i]`` into ``half``
+    itself, row by row, so no second n x n array is made.
     """
     gene_terms = [sorted(c.direct_terms(g)) for g in genes]
     union = sorted({t for ts in gene_terms for t in ts})
@@ -231,9 +233,13 @@ def semantic_distance_matrix(
         cover = sim[idx[i]].max(axis=0)
         for js, ix in groups:
             half[i, js] = cover[ix].mean(axis=1)
-    d = half + half.T
-    d *= 0.5
-    np.subtract(1.0, d, out=d)
-    np.clip(d, 0.0, 1.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(tuple(genes), d)
+    # symmetrize in place: row i's upper part and column i's lower part
+    # are untouched by the rows before it
+    for i in range(n - 1):
+        half[i, i + 1 :] += half[i + 1 :, i]
+        half[i + 1 :, i] = half[i, i + 1 :]
+    half *= 0.5
+    np.subtract(1.0, half, out=half)
+    np.clip(half, 0.0, 1.0, out=half)
+    np.fill_diagonal(half, 0.0)
+    return DistanceMatrix(tuple(genes), half)

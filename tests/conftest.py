@@ -1,8 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from gofusion.annotations import build_corpus
-from gofusion.expression import DistanceMatrix
+from gofusion.expression import DistanceMatrix, write_distance_tsv
 from gofusion.ontology import parse_obo
 
 FIXTURE_OBO = """\
@@ -58,6 +60,22 @@ def random_distance_matrix(rng: np.random.Generator, n: int, genes=None) -> Dist
     if genes is None:
         genes = tuple(f"g{i:03d}" for i in range(n))
     return DistanceMatrix(tuple(genes), d)
+
+
+def mirrored(d) -> DistanceMatrix:
+    """``d`` with its upper triangle copied below the diagonal, bit for bit
+    (``d + d.T`` would turn -0.0 into 0.0)."""
+    d = np.array(d, dtype=float)
+    lower = np.tril_indices(len(d), -1)
+    d[lower] = d.T[lower]
+    return DistanceMatrix(tuple(f"g{i}" for i in range(len(d))), d)
+
+
+def tsv_text(dm: DistanceMatrix) -> str:
+    """What ``write_distance_tsv`` writes for ``dm``, as one string."""
+    buf = io.StringIO()
+    write_distance_tsv(dm, buf)
+    return buf.getvalue()
 
 
 def random_dag_corpus(seed: int, n_terms: int = 50, n_genes: int = 60):

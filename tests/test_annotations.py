@@ -131,6 +131,18 @@ def test_root_only_gene_diagnostic(fixture_ontology):
     assert term_probability(c, ROOT) == 1.0
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_byte_order_mark_dropped(fixture_ontology, mark):
+    c = load_annotations(mark + FIXTURE_TSV.encode(), fixture_ontology, BP)
+    assert c.diagnostics == load_annotations(FIXTURE_TSV, fixture_ontology, BP).diagnostics
+    assert c.diagnostics.rows_total == 3
+    assert dict(c.direct) == {
+        "gA": frozenset({"GO:0000003"}),
+        "gB": frozenset({"GO:0000003"}),
+        "gC": frozenset({"GO:0000002"}),
+    }
+
+
 def test_header_optional(fixture_ontology):
     tsv = "\n".join(FIXTURE_TSV.splitlines()[1:]) + "\n"
     c = load_annotations(tsv, fixture_ontology, BP)

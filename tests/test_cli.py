@@ -236,6 +236,22 @@ class TestPipeline:
             assert inputs[key]["diagnostics"] == asdict(expected)
             assert inputs[key]["diagnostics"]["rows_kept"] > 0
 
+    # k = 5000 fails in the cluster stage: the stages up to it are profiled
+    @pytest.mark.parametrize("k, last", [("12", "metrics"), ("5000", "cluster")])
+    def test_manifest_profiles_each_stage(self, data_dir, tmp_path, k, last):
+        out = tmp_path / "run"
+        argv = pipeline_args(data_dir, out, "--balancing", "percentile")
+        argv[argv.index("--k") + 1] = k
+        main(argv)
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        order = ["load", "distances", "balancing", "cluster", "assign", "enrich", "metrics"]
+        ran = order[: order.index(last) + 1]
+        assert sorted(manifest["profile"]) == sorted(manifest["stages"]) == sorted(ran)
+        profile = [manifest["profile"][stage] for stage in ran]
+        assert all(p["wall_s"] >= 0.0 for p in profile)
+        peaks = [p["peak_rss_mb"] for p in profile]
+        assert 0.0 < peaks[0] and peaks == sorted(peaks)
+
     def test_manifest_rerun_identical(self, data_dir, tmp_path):
         first = tmp_path / "first"
         main(pipeline_args(data_dir, first, "--balancing", "fixed_gamma", "--gamma", "0.5"))

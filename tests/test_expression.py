@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gofusion.cli as cli
 from gofusion.errors import DegenerateError, ParseError, ValidationError
 from gofusion.expression import (
+    EUCLIDEAN,
+    METRICS,
+    TSV_BLOCK_ROWS,
     DistanceMatrix,
     ExpressionMatrix,
+    PreparedRows,
     expression_distance_matrix,
     load_expression,
     read_distance_tsv,
@@ -13,7 +19,7 @@ from gofusion.expression import (
 )
 from gofusion.synth import make_dataset, write_dataset
 
-from conftest import random_distance_matrix
+from conftest import mirrored, random_distance_matrix, tsv_text
 
 
 def em(rows, genes=None, conds=None):
@@ -49,6 +55,12 @@ class TestLoadExpression:
     def test_single_condition_rejected(self):
         with pytest.raises((ParseError, ValidationError)):
             load_expression("gene_id\tc1\ng1\t1\ng2\t2\n")
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_byte_order_mark_dropped(self, mark):
+        m = load_expression(mark + b"gene_id\tc1\tc2\ng1\t1\t2\ng2\t4\t5\n")
+        assert m.genes == ("g1", "g2")
+        assert m.conditions == ("c1", "c2")
 
 
 class TestExpressionDistance:
@@ -120,10 +132,10 @@ class TestDistanceMatrixType:
     def test_tsv_roundtrip(self):
         rng = np.random.default_rng(21)
         dm = random_distance_matrix(rng, 7)
-        back = read_distance_tsv(write_distance_tsv(dm))
+        back = read_distance_tsv(tsv_text(dm))
         assert back.genes == dm.genes
         assert np.allclose(back.d, dm.d, atol=1e-9)
-        assert write_distance_tsv(back) == write_distance_tsv(dm)
+        assert tsv_text(back) == tsv_text(dm)
 
 
 def _reference_write(dm):
@@ -134,22 +146,29 @@ def _reference_write(dm):
     return "\n".join(lines) + "\n"
 
 
-def _mirrored(d):
-    """``d`` with its upper triangle copied below the diagonal, bit for bit
-    (``d + d.T`` would turn -0.0 into 0.0)."""
-    d = np.array(d, dtype=float)
-    lower = np.tril_indices(len(d), -1)
-    d[lower] = d.T[lower]
-    return DistanceMatrix(tuple(f"g{i}" for i in range(len(d))), d)
+WIDE = mirrored(np.triu(np.random.default_rng(8).random((9, 9)), 1))
+BLOCK = TSV_BLOCK_ROWS
+# around the block edges: one row, a block and a bit, two blocks and a row
+EDGE_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
 
 
-WIDE = _mirrored(np.triu(np.random.default_rng(8).random((9, 9)), 1))
+def _signed_zeros_at_block_edge(distinct):
+    """2 blocks + 1 rows; the last row of the first block and the first
+    row of the second hold ``-0.0`` and ``0.0`` cells.  With ``distinct``
+    the other cells are mostly distinct, otherwise three values."""
+    n = 2 * BLOCK + 1
+    rng = np.random.default_rng(12)
+    u = rng.random((n, n)) if distinct else rng.integers(0, 3, (n, n)) / 2
+    for row in (BLOCK - 1, BLOCK):
+        u[row, row + 1 :: 2] = -0.0
+        u[row, row + 2 :: 2] = 0.0
+    return mirrored(np.triu(u, 1))
 
 
 def _pipeline_matrices(tmp_path, monkeypatch, extra):
     """The DistanceMatrix objects a synth seed-1 pipeline hands its writer."""
     written = []
-    monkeypatch.setattr(cli, "write_distance_tsv", lambda dm: written.append(dm) or "")
+    monkeypatch.setattr(cli, "write_distance_tsv", lambda dm, f: written.append(dm))
     data = tmp_path / "data"
     write_dataset(make_dataset(seed=1), data)
     argv = [
@@ -171,19 +190,48 @@ class TestWriteDistanceTsv:
     @pytest.mark.parametrize(
         "dm",
         [
-            _mirrored([[0.0, -0.0, 0.5], [0, -0.0, 0.0], [0, 0, 0.0]]),
-            _mirrored(np.triu(np.random.default_rng(3).integers(0, 4, (12, 12)) / 3, 1)),
-            _mirrored([[0, 0.1, np.nextafter(0.1, 1)], [0, 0, np.nextafter(0.1, 0)], [0, 0, 0]]),
-            _mirrored([[0, 5e-324, 1e-310], [0, 0, 1.0], [0, 0, 0]]),
+            mirrored([[0.0, -0.0, 0.5], [0, -0.0, 0.0], [0, 0, 0.0]]),
+            mirrored(np.triu(np.random.default_rng(3).integers(0, 4, (12, 12)) / 3, 1)),
+            mirrored([[0, 0.1, np.nextafter(0.1, 1)], [0, 0, np.nextafter(0.1, 0)], [0, 0, 0]]),
+            mirrored([[0, 5e-324, 1e-310], [0, 0, 1.0], [0, 0, 0]]),
             DistanceMatrix(("only",), np.zeros((1, 1))),
             DistanceMatrix(WIDE.genes[::2], WIDE.d[::2, ::2]),
             DistanceMatrix(WIDE.genes, np.asfortranarray(WIDE.d)),
+            *(mirrored(np.triu(np.random.default_rng(n).random((n, n)), 1))
+              for n in EDGE_SIZES),
+            *(mirrored(np.triu(np.random.default_rng(n).integers(0, 4, (n, n)) / 3, 1))
+              for n in EDGE_SIZES),
+            _signed_zeros_at_block_edge(distinct=True),
+            _signed_zeros_at_block_edge(distinct=False),
         ],
         ids=["signed-zeros", "ties", "same-ten-digits", "subnormal-and-one", "one-gene",
-             "strided", "fortran-order"],
+             "strided", "fortran-order",
+             *(f"distinct-n{n}" for n in EDGE_SIZES), *(f"ties-n{n}" for n in EDGE_SIZES),
+             "signed-zeros-at-block-edge-distinct", "signed-zeros-at-block-edge-ties"],
     )
     def test_same_bytes_as_reference(self, dm):
-        assert write_distance_tsv(dm) == _reference_write(dm)
+        assert tsv_text(dm) == _reference_write(dm)
+
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "ties"])
+    def test_memory_is_per_block(self, distinct):
+        """Streaming to a file that keeps nothing holds no n x n copy: the
+        peak stays under a quarter of the matrix's own bytes."""
+        n = 600
+        rng = np.random.default_rng(4)
+        u = rng.random((n, n)) if distinct else rng.integers(0, 5, (n, n)) / 4
+        dm = mirrored(np.triu(u, 1))
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            write_distance_tsv(dm, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dm.d.nbytes / 4
 
     @pytest.mark.parametrize(
         "extra",
@@ -198,4 +246,44 @@ class TestWriteDistanceTsv:
         written = _pipeline_matrices(tmp_path, monkeypatch, extra)
         assert len(written) == 3  # d_e, d_go, d_gamma
         for dm in written:
-            assert write_distance_tsv(dm) == _reference_write(dm)
+            assert tsv_text(dm) == _reference_write(dm)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_distance_matrix_same_as_sum_with_transpose(metric, n):
+    """Mirroring each row as it is computed gives the bits of ``d + d.T``."""
+    rng = np.random.default_rng(n)
+    m = em(rng.normal(size=(n, 5)))
+    prep = PreparedRows(m.values, metric)
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        d[i, i + 1 :] = prep.raw_distances(i, prep, i + 1)
+    d = d + d.T
+    if metric == EUCLIDEAN:
+        d /= d.max()
+    np.fill_diagonal(d, 0.0)
+    assert expression_distance_matrix(m, metric).d.tobytes() == d.tobytes()
+
+
+def _histogram_reference(dm, bins=50):
+    """``cli._histogram_csv`` over the ``np.triu_indices`` cells."""
+    counts, edges = np.histogram(
+        dm.d[np.triu_indices(len(dm.genes), k=1)], bins=bins, range=(0.0, 1.0)
+    )
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    return "value,count\n" + "".join(f"{v:.10g},{int(c)}\n" for v, c in zip(mids, counts))
+
+
+@pytest.mark.parametrize(
+    "dm",
+    [
+        random_distance_matrix(np.random.default_rng(6), 2),
+        random_distance_matrix(np.random.default_rng(7), 31),
+        mirrored(np.triu(np.random.default_rng(9).integers(0, 5, (12, 12)) / 4, 1)),
+        _signed_zeros_at_block_edge(distinct=False),
+    ],
+    ids=["n2", "n31", "ties", "signed-zeros"],
+)
+def test_histogram_same_as_triu_indices(dm):
+    assert cli._histogram_csv(dm) == _histogram_reference(dm)

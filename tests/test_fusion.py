@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gofusion.errors import AlignmentError, ConfigError
 from gofusion.expression import DistanceMatrix, ExpressionMatrix, expression_distance_matrix
 from gofusion.fusion import (
     TuningReport,
+    _average_ranks,
     _centroid_assign,
     combine_gamma,
     equalize_values,
@@ -15,7 +18,47 @@ from gofusion.fusion import (
 from gofusion.semantic import semantic_distance_matrix
 from gofusion.synth import make_dataset
 
-from conftest import random_distance_matrix
+from conftest import mirrored, random_distance_matrix
+
+
+def _unique_ranks(v):
+    """Doubled average ranks from ``np.unique``, the reference form."""
+    _, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - counts + 1 + ends)[inv.ravel()]
+
+
+def _triu_equalize(dm, m):
+    """``percentile_equalize`` over ``np.triu_indices``, ``np.unique`` ranks
+    and ``out + out.T``, the reference form."""
+    iu = np.triu_indices(len(dm.genes), k=1)
+    vals = dm.d[iu]
+    j = np.clip(np.ceil(_unique_ranks(vals) * m / (2.0 * vals.size)), 1, m)
+    out = np.zeros_like(dm.d)
+    out[iu] = (j - 0.5) / m
+    return out + out.T
+
+
+_rng = np.random.default_rng(13)
+_zeros = _rng.integers(0, 3, 500) / 2.0
+_zeros[_rng.random(500) < 0.4] *= -1.0  # -0.0 among the 0.0 cells
+RANK_INPUTS = [
+    ("one", np.array([0.3])),
+    ("two", np.array([0.7, 0.2])),
+    ("two-tied", np.array([0.5, 0.5])),
+    ("signed-zero-pair", np.array([0.0, -0.0])),
+    ("distinct", _rng.random(300)),
+    ("ties", _rng.integers(0, 7, 300) / 6.0),
+    ("signed-zeros", _zeros),
+    ("all-equal", np.full(40, 0.25)),
+]
+EQUALIZE_INPUTS = [
+    mirrored([[0, 0.4], [0, 0]]),
+    random_distance_matrix(np.random.default_rng(14), 23),
+    mirrored(np.triu(np.random.default_rng(15).integers(0, 4, (19, 19)) / 3.0, 1)),
+    mirrored(np.triu(np.where(np.random.default_rng(16).random((17, 17)) < 0.5, -0.0, 0.0), 1)),
+]
+EQUALIZE_IDS = ["n2", "distinct", "ties", "signed-zeros"]
 
 
 class TestCombineGamma:
@@ -93,6 +136,29 @@ class TestPercentileEqualize:
         rng = np.random.default_rng(10)
         with pytest.raises(ConfigError):
             percentile_equalize(random_distance_matrix(rng, 4), 1)
+
+    @pytest.mark.parametrize("name, v", RANK_INPUTS, ids=[name for name, _ in RANK_INPUTS])
+    def test_ranks_same_as_unique(self, name, v):
+        got = _average_ranks(v)
+        assert got.dtype == np.int64
+        assert got.tolist() == _unique_ranks(v).tolist()
+
+    @pytest.mark.parametrize("m", [2, 20])
+    @pytest.mark.parametrize("dm", EQUALIZE_INPUTS, ids=EQUALIZE_IDS)
+    def test_equalize_same_as_triu_indices(self, dm, m):
+        assert percentile_equalize(dm, m).d.tobytes() == _triu_equalize(dm, m).tobytes()
+
+    def test_equalize_memory(self):
+        """The ranks and the mirror hold no n x n temporaries beyond the
+        result: the peak stays under three times the matrix's bytes."""
+        dm = random_distance_matrix(np.random.default_rng(11), 600)
+        tracemalloc.start()
+        try:
+            percentile_equalize(dm, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * dm.d.nbytes
 
 
 def tuning_inputs(ds, corpus):

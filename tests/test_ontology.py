@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gofusion.errors import ParseError, UnknownIdError, ValidationError
@@ -177,3 +179,17 @@ def test_multiple_roots_in_namespace_rejected():
     text = FIXTURE_OBO + "\n[Term]\nid: GO:0000008\nname: second root\nnamespace: biological_process\n"
     with pytest.raises(ValidationError, match="multiple parentless"):
         parse_obo(text)
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_byte_order_mark_dropped(mark):
+    # the first stanza starts on the first line, right after the mark
+    data = mark + (
+        "[Term]\nid: GO:0008150\nname: root\nnamespace: biological_process\n\n"
+        "[Term]\nid: GO:0000001\nname: child\nnamespace: biological_process\n"
+        "is_a: GO:0008150\n"
+    ).encode()
+    o = parse_obo(data)
+    assert sorted(o.terms) == ["GO:0000001", "GO:0008150"]
+    assert o.ancestors("GO:0000001") == frozenset({"GO:0000001", "GO:0008150"})
+    assert o.source_digest == hashlib.sha256(data).hexdigest()

@@ -14,11 +14,7 @@ from gofusion.clustering import (  # noqa: E402
     read_partition_tsv,
     write_partition_tsv,
 )
-from gofusion.expression import (  # noqa: E402
-    DistanceMatrix,
-    read_distance_tsv,
-    write_distance_tsv,
-)
+from gofusion.expression import DistanceMatrix, read_distance_tsv  # noqa: E402
 from gofusion.ontology import (  # noqa: E402
     IS_A,
     NAMESPACES,
@@ -28,6 +24,8 @@ from gofusion.ontology import (  # noqa: E402
     parse_obo,
     to_obo_text,
 )
+
+from conftest import tsv_text  # noqa: E402
 
 GENE = st.text(string.ascii_letters + string.digits + "_-.:", min_size=1, max_size=10)
 
@@ -89,9 +87,9 @@ def ontologies(draw) -> Ontology:
 @settings(deadline=None)
 @given(distance_matrices())
 def test_distance_tsv_round_trip(dm):
-    text = write_distance_tsv(dm)
+    text = tsv_text(dm)
     back = read_distance_tsv(text)
-    assert write_distance_tsv(back) == text
+    assert tsv_text(back) == text
     assert back.genes == dm.genes
     # %.10g keeps ten significant digits: half a unit in the tenth, plus one ulp
     assert (np.abs(back.d - dm.d) <= 5e-10 * dm.d + np.spacing(dm.d)).all()

@@ -233,6 +233,22 @@ class TestVectorizedEqualsScalar:
                 if i != j:
                     assert dm.d[i, j] == gene_semantic_distance(onto, corpus, gi, gj, kind)
 
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_matrix_same_as_sum_with_transpose(self, dag, kind):
+        """Symmetrizing in place gives the bits of ``half + half.T``."""
+        onto, corpus = dag
+        genes = corpus.genes()
+        terms = sorted({t for g in genes for t in corpus.direct_terms(g)})
+        sim = _term_sim_table(onto, corpus, terms, kind)
+        idx = [[terms.index(t) for t in sorted(corpus.direct_terms(g))] for g in genes]
+        half = np.array([[sim[np.ix_(ti, tj)].max(axis=0).mean() for tj in idx] for ti in idx])
+        d = half + half.T
+        d *= 0.5
+        d = np.clip(1.0 - d, 0.0, 1.0)
+        np.fill_diagonal(d, 0.0)
+        dm = semantic_distance_matrix(onto, corpus, genes, kind)
+        assert dm.d.tobytes() == d.tobytes()
+
     def test_table_rejects_unknown_kind(self, fixture_ontology, fixture_corpus):
         with pytest.raises(ValidationError):
             _term_sim_table(fixture_ontology, fixture_corpus, [ROOT], "wang")
