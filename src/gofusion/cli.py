@@ -85,6 +85,9 @@ from .synth import make_dataset, write_dataset
 
 BALANCINGS = ("percentile", "gamma_tuning", "fixed_gamma")
 
+# rows of a distance matrix per histogram call
+_HISTOGRAM_ROWS = 128
+
 _CHOICES = {
     "metric": METRICS,
     "similarity": SIMILARITY_KINDS,
@@ -322,8 +325,16 @@ def _load_partition_inputs(
 
 
 def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
-    upper = dm.d[upper_triangle(len(dm.genes))]
-    counts, edges = np.histogram(upper, bins=bins, range=(0.0, 1.0))
+    """Counts of the strict upper triangle's values in ``bins`` equal bins
+    of [0, 1], taken over blocks of rows: each value's bin depends on that
+    value alone, so the blocks' integer counts add up to the same numbers."""
+    n = len(dm.genes)
+    upper = upper_triangle(n)
+    counts = np.zeros(bins, dtype=np.int64)
+    for lo in range(0, n, _HISTOGRAM_ROWS):
+        rows = slice(lo, lo + _HISTOGRAM_ROWS)
+        counts += np.histogram(dm.d[rows][upper[rows]], bins=bins, range=(0.0, 1.0))[0]
+    edges = np.histogram_bin_edges(dm.d, bins=bins, range=(0.0, 1.0))
     mids = (edges[:-1] + edges[1:]) / 2.0
     lines = ["value,count"]
     for v, n in zip(mids, counts):
@@ -570,6 +581,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         if cfg.balancing == "gamma_tuning":
             tuned = _tune(cfg, expr_a, d_e, d_go)
         gamma_used, d_gamma = _fuse(cfg, d_e, d_go, tuned)
+        del d_e  # the later stages read d_go, d_gamma and the expression only
         manifest["balancing"] = {
             "mode": cfg.balancing,
             "gamma_used": gamma_used,
@@ -579,7 +591,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
 
         stage = "cluster"
         part = cluster_a(d_gamma, cfg.k, cfg.seeding)
-        del d_e, d_gamma  # the later stages read d_go and the expression only
+        del d_gamma
         end_stage("ok")
 
         stage = "assign"
@@ -745,13 +757,19 @@ def main(argv: list[str] | None = None) -> int:
         "by fusing expression and semantic distances.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # the top parser takes no flag but --help, so argparse hands the command
+    # line to the subcommand named by the first argument that is not a flag;
+    # only that one's flags are built
+    argv = sys.argv[1:] if argv is None else argv
+    invoked = next((a for a in argv if not a.startswith("-")), None)
     for name, (text, run, options) in COMMANDS.items():
         # no abbreviations: a flag a subcommand lacks must not match a longer one
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        p.add_argument("--config", help="flat key = value config file")
-        for key in options:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, **_OWN_FLAGS.get(key, {}))
         p.set_defaults(run=run)
+        if name == invoked:
+            p.add_argument("--config", help="flat key = value config file")
+            for key in options:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, **_OWN_FLAGS.get(key, {}))
 
     # a subcommand hands the flags it lacks back to the top parser, whose
     # usage line would not show the flags that subcommand does take

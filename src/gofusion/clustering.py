@@ -93,10 +93,11 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
     """Greedy growth from the initial medoid to k medoids.
 
     Each gene's distance to its nearest medoid is lowered in place as
-    medoids are added.  ``pam_build`` sums gains over the non-medoid rows
-    only: a medoid row adds an exact +0.0 to a column sum whose terms are
-    all >= 0, so leaving it out changes no bit.  ``literal`` terms can be
-    negative, so its medoid rows stay in the sum as zeros.
+    medoids are added.  ``pam_build`` computes its gains for all rows in one
+    reused n x n buffer: a medoid row's gains are zeros, and a zero added
+    to a column sum whose terms are all >= 0 leaves the sum as it was, so
+    the medoid rows need not be left out.  ``literal`` terms can be
+    negative, so its medoid rows are set to zero before the sum.
     """
     n = d.shape[0]
     if seeding not in SEEDINGS:
@@ -107,10 +108,12 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
     nearest = d[:, medoids[0]].copy()
     in_gamma = np.zeros(n, dtype=bool)
     in_gamma[medoids[0]] = True
+    if seeding == PAM_BUILD:
+        gains = np.empty_like(d, order="C")  # one buffer for every round
     while len(medoids) < k:
         if seeding == PAM_BUILD:
-            rest = ~in_gamma
-            gains = np.maximum(nearest[rest, None] - d[rest], 0.0)
+            np.subtract(nearest[:, None], d, out=gains)
+            np.maximum(gains, 0.0, out=gains)
             scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
         else:
             diff = d - nearest[:, None]

@@ -79,18 +79,30 @@ class EnrichmentRecord:
     background_size: int
 
 
+def background_counts(background: set[GeneId], c: AnnotationCorpus) -> dict[TermId, int]:
+    """How many genes of ``background`` each term annotates directly."""
+    counts: dict[TermId, int] = {}
+    for g in background:
+        for t in c.direct.get(g, ()):  # background genes may lack annotations
+            counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
 def enrich_cluster(
     cluster: Cluster,
     background: set[GeneId],
     c: AnnotationCorpus,
     alpha: float = 0.05,
     correction: str = CORRECTION_NONE,
+    bg_counts: dict[TermId, int] | None = None,
 ) -> list[EnrichmentRecord]:
     """Terms over-represented among the cluster's annotated genes.
 
     Only terms with at least one direct annotation inside the cluster are
     tested (absent terms cannot be over-represented).  Records with
     (corrected) p <= alpha come back ascending by (p, term id).
+    ``bg_counts`` is ``background_counts(background, c)``, counted here
+    when not given.
     """
     if correction not in CORRECTIONS:
         raise ConfigError(f"unknown correction {correction!r}")
@@ -99,17 +111,14 @@ def enrich_cluster(
         raise ConfigError("cluster has no annotated members to enrich")
     if not set(members) <= background:
         raise ConfigError("cluster members must be contained in the background")
-    bg = sorted(background)
+    if bg_counts is None:
+        bg_counts = background_counts(background, c)
     n = len(members)
-    N = len(bg)
+    N = len(background)
     cluster_counts: dict[TermId, int] = {}
     for g in members:
         for t in c.direct_terms(g):
             cluster_counts[t] = cluster_counts.get(t, 0) + 1
-    bg_counts: dict[TermId, int] = {}
-    for g in bg:
-        for t in c.direct.get(g, ()):  # background genes may lack annotations
-            bg_counts[t] = bg_counts.get(t, 0) + 1
     terms = sorted(cluster_counts)
     raw = [hypergeom_tail(N, bg_counts[t], n, cluster_counts[t]) for t in terms]
     final = benjamini_hochberg(raw) if correction == CORRECTION_BH else raw
@@ -153,10 +162,11 @@ def infer_functions(
     no passing term yield empty, flagged records.
     """
     out: list[InferredAnnotation] = []
+    counts = background_counts(background, c)
     for i, cl in enumerate(p.clusters):
         if not cl.members_b:
             continue
-        records = enrich_cluster(cl, background, c, alpha, correction)
+        records = enrich_cluster(cl, background, c, alpha, correction, counts)
         terms = tuple((r.term, r.p_value) for r in records)
         for g in sorted(cl.members_b):
             out.append(
@@ -176,10 +186,11 @@ def enrich_partition(
 ) -> list[tuple[int, EnrichmentRecord]]:
     """(cluster index, record) pairs for every cluster that has B genes."""
     out: list[tuple[int, EnrichmentRecord]] = []
+    counts = background_counts(background, c)
     for i, cl in enumerate(p.clusters):
         if not cl.members_b:
             continue
-        for r in enrich_cluster(cl, background, c, alpha, correction):
+        for r in enrich_cluster(cl, background, c, alpha, correction, counts):
             out.append((i, r))
     return out
 

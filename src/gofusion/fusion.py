@@ -30,14 +30,23 @@ from .expression import (
 )
 from .metrics import semantic_compactness
 
+# rows of d_e weighted and added per numpy pass of the blend
+_BLEND_ROWS = 128
+
 
 def combine_gamma(d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float) -> DistanceMatrix:
-    """Entrywise gamma * d_go + (1 - gamma) * d_e over an identical gene list."""
+    """Entrywise gamma * d_go + (1 - gamma) * d_e over an identical gene list.
+
+    ``(1 - gamma) * d_e`` is added a block of rows at a time, so the blend
+    makes no n x n temporary besides its result.
+    """
     if not 0.0 <= gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
     d_e.require_same_genes(d_go)
     blended = np.multiply(gamma, d_go.d)
-    blended += (1.0 - gamma) * d_e.d  # one n x n temporary, not two
+    for lo in range(0, len(blended), _BLEND_ROWS):
+        rows = slice(lo, lo + _BLEND_ROWS)
+        blended[rows] += (1.0 - gamma) * d_e.d[rows]
     np.clip(blended, 0.0, 1.0, out=blended)
     np.fill_diagonal(blended, 0.0)
     return DistanceMatrix(d_e.genes, blended)

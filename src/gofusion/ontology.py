@@ -36,6 +36,17 @@ PART_OF = "part_of"
 
 NAMESPACES = ("biological_process", "molecular_function", "cellular_component")
 
+# the tags ``parse_obo`` reads; a [Term] stanza's other tags are skipped
+_ID, _NAME, _NAMESPACE, _IS_A, _RELATIONSHIP, _IS_OBSOLETE = range(6)
+_READ_TAGS = {
+    "id": _ID,
+    "name": _NAME,
+    "namespace": _NAMESPACE,
+    "is_a": _IS_A,
+    "relationship": _RELATIONSHIP,
+    "is_obsolete": _IS_OBSOLETE,
+}
+
 
 def is_term_id(s: str) -> bool:
     return bool(TERM_ID_RE.match(s))
@@ -206,36 +217,23 @@ def parse_obo(data: bytes | str) -> Ontology:
     terms: dict[TermId, Term] = {}
     in_term = False
     cur_id: TermId | None = None
-    cur_name = ""
-    cur_ns = ""
+    cur_name = cur_ns = ""
     cur_parents: set[tuple[TermId, str]] = set()
     cur_obsolete = False
-
-    def flush(at_line: int) -> None:
-        nonlocal cur_id
-        if cur_id is None:
-            if in_term and (cur_name or cur_parents):
-                raise ParseError("[Term] stanza without an id tag", at_line)
-            return
-        if cur_id in terms:
-            raise ParseError(f"duplicate term id {cur_id}", at_line)
-        parents = frozenset() if cur_obsolete else frozenset(cur_parents)
-        terms[cur_id] = Term(
-            id=cur_id,
-            name=cur_name,
-            namespace=cur_ns,
-            parents=parents,
-            obsolete=cur_obsolete,
-        )
-        cur_id = None
-
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    is_id = TERM_ID_RE.match
+    # one more stanza header ends the last stanza
+    for lineno, raw in enumerate([*text.splitlines(), "["], start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("["):
-            flush(lineno)
+        if line[0] == "[":
+            if cur_id is not None:
+                if cur_id in terms:
+                    raise ParseError(f"duplicate term id {cur_id}", lineno)
+                parents = frozenset() if cur_obsolete else frozenset(cur_parents)
+                terms[cur_id] = Term(cur_id, cur_name, cur_ns, parents, cur_obsolete)
+            elif in_term and (cur_name or cur_parents):
+                raise ParseError("[Term] stanza without an id tag", lineno)
             in_term = line == "[Term]"
             cur_id, cur_name, cur_ns = None, "", ""
             cur_parents, cur_obsolete = set(), False
@@ -245,30 +243,31 @@ def parse_obo(data: bytes | str) -> Ontology:
         tag, sep, value = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'tag: value', got {line!r}", lineno)
-        tag = tag.strip()
-        value = value.strip()
-        if tag == "id":
-            if not is_term_id(value):
+        read = _READ_TAGS.get(tag.rstrip())  # the line has no leading space
+        if read is None:
+            continue
+        if read == _ID:
+            value = value.strip()
+            if not is_id(value):
                 raise ParseError(f"malformed term id {value!r}", lineno)
             cur_id = value
-        elif tag == "name":
-            cur_name = value
-        elif tag == "namespace":
-            cur_ns = value
-        elif tag == "is_a":
+        elif read == _IS_A:
             target = value.split("!", 1)[0].strip()
-            if not is_term_id(target):
-                raise ParseError(f"malformed is_a target {value!r}", lineno)
+            if not is_id(target):
+                raise ParseError(f"malformed is_a target {value.strip()!r}", lineno)
             cur_parents.add((target, IS_A))
-        elif tag == "relationship":
+        elif read == _NAME:
+            cur_name = value.strip()
+        elif read == _NAMESPACE:
+            cur_ns = value.strip()
+        elif read == _RELATIONSHIP:
             parts = value.split("!", 1)[0].split()
             if len(parts) == 2 and parts[0] == PART_OF:
-                if not is_term_id(parts[1]):
-                    raise ParseError(f"malformed part_of target {value!r}", lineno)
+                if not is_id(parts[1]):
+                    raise ParseError(f"malformed part_of target {value.strip()!r}", lineno)
                 cur_parents.add((parts[1], PART_OF))
-        elif tag == "is_obsolete":
-            cur_obsolete = value == "true"
-    flush(lineno + 1)
+        else:
+            cur_obsolete = value.strip() == "true"
 
     dangling = sorted(
         {

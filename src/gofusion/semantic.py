@@ -10,8 +10,10 @@ sets.
 ``term_similarity``, ``min_subsumer`` and ``gene_semantic_distance`` are the
 scalar definitions and serve as the test oracles.  ``_term_sim_table`` and
 ``semantic_distance_matrix`` compute the same numbers, bit for bit, with
-numpy loops over rows and no Python code per pair.  Both run
-single-threaded.
+numpy passes over blocks and no Python code per pair: the table paints each
+shared ancestor's column index over the block of term pairs that share it,
+lowest IC first, then converts the indices to similarities block by block of
+rows; the gene fill works on blocks of genes.  Both run single-threaded.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ RELEVANCE = "relevance"
 LIN = "lin"
 RESNIK_NORMALIZED = "resnik_normalized"
 SIMILARITY_KINDS = (RELEVANCE, LIN, RESNIK_NORMALIZED)
+
+# terms decoded, rows of the term table converted and genes filled per numpy pass
+_DECODE = 64
+_ROWS = 16
+_GENES = 32
 
 
 def _check_namespace(o: Ontology, c: AnnotationCorpus, t: TermId) -> None:
@@ -108,16 +115,26 @@ def _ancestor_columns(
     Returns the union of those ancestors as columns ordered by IC, highest
     first, ties by smallest id; then, term after term, each term's column
     indices in increasing order (``flat``) and where each term's run starts.
+    The bitsets are decoded ``_DECODE`` terms at a time, so the decode holds
+    one byte per live ontology term for those terms only, not for all of them.
     """
-    member = o.bit_rows([o.closure_bits[t] for t in terms]).view(bool)
-    member &= np.array([t in c.ic for t in o.topo_order])
+    bits = [o.closure_bits[t] for t in terms]
+    union = 0
+    for b in bits:
+        union |= b
+    has_ic = o.bit_rows([union])[0].view(bool) & np.array([t in c.ic for t in o.topo_order])
     cols = sorted(
-        (o.topo_order[j] for j in np.flatnonzero(member.any(axis=0)).tolist()),
+        (o.topo_order[j] for j in np.flatnonzero(has_ic).tolist()),
         key=lambda t: (-c.ic[t], t),
     )
-    rows, flat = np.nonzero(member[:, [o.index[t] for t in cols]])
-    starts = np.searchsorted(rows, np.arange(len(terms)))
-    return cols, flat, starts
+    where = np.array([o.index[t] for t in cols], dtype=np.intp)
+    flat, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(terms), _DECODE):
+        member = o.bit_rows(bits[lo : lo + _DECODE]).view(bool)[:, where]
+        flat.append(np.nonzero(member)[1])
+        sizes.append(np.count_nonzero(member, axis=1))
+    run = np.concatenate(sizes)
+    return cols, np.concatenate(flat), np.cumsum(run) - run
 
 
 def _term_sim_table(
@@ -127,10 +144,15 @@ def _term_sim_table(
 
     Ancestors with an IC become columns ordered by IC, highest first, ties
     by smallest id, so the minimum subsumer of a pair is the smallest column
-    the two terms share: the scalar's max-IC, smallest-id rule.  Row ``a``
-    finds it for every ``b >= a`` with one ragged min over the ancestor
-    columns of those terms.  A last column of IC -1 stands for "no common
-    ancestor with an IC", the scalar's fallback value.
+    the two terms share: the scalar's max-IC, smallest-id rule.  The table
+    first holds column indices, in an int64 view of its own buffer.  Every
+    entry starts at the sentinel ``len(cols)``, "no common ancestor with an
+    IC", whose IC of -1 gives the scalar's fallback value.  Each column
+    shared by two or more terms then paints its index over those terms'
+    block, from the lowest IC (the last column) to the highest, so the last
+    write to a pair is the smallest column it shares.  The diagonal takes
+    each term's own first column.  Blocks of rows then turn the indices
+    into similarities in place, with the scalar's formula per element.
     """
     if kind not in SIMILARITY_KINDS:
         raise ValidationError(f"unknown similarity kind {kind!r}")
@@ -143,29 +165,34 @@ def _term_sim_table(
     col_ic = np.array([c.ic[t] for t in cols] + [-1.0])
     # math.exp, not np.exp: the two may differ in the last bit.
     col_rel = np.array([1.0 - math.exp(-ic) for ic in col_ic])
-    ends = np.append(starts[1:], len(flat))
 
     u = len(terms)
-    sim = np.zeros((u, u))
-    shared = np.zeros(no_mica + 1, dtype=bool)
-    for a in range(u):
-        shared[:] = False
-        shared[flat[starts[a]:ends[a]]] = True
-        tail = flat[starts[a]:]
-        cand = np.where(shared[tail], tail, no_mica)
-        mica = np.minimum.reduceat(cand, starts[a:] - starts[a])
-        ms_ic = col_ic[mica]
+    sim = np.empty((u, u))
+    mica = sim.view(np.int64)
+    mica.fill(no_mica)
+    # each column's terms, in increasing order
+    by_col = np.argsort(flat, kind="stable")
+    holders = np.repeat(np.arange(u), np.diff(np.append(starts, len(flat))))[by_col]
+    bounds = np.searchsorted(flat[by_col], np.arange(no_mica + 1)).tolist()
+    for k in range(no_mica - 1, -1, -1):
+        if bounds[k + 1] - bounds[k] > 1:
+            ts = holders[bounds[k] : bounds[k + 1]]
+            mica[ts[:, None], ts] = k
+    np.fill_diagonal(mica, flat[starts])  # each run of ``flat`` is increasing
+
+    for lo in range(0, u, _ROWS):
+        m = mica[lo : lo + _ROWS]
+        ms_ic = col_ic[m]
         if kind == RESNIK_NORMALIZED:
-            row = np.minimum(ms_ic / peak, 1.0) if peak != 0.0 else np.zeros(u - a)
+            block = np.minimum(ms_ic / peak, 1.0) if peak != 0.0 else np.zeros(m.shape)
         else:
-            denom = ics[a] + ics[a:]
+            denom = ics[lo : lo + _ROWS, None] + ics
             with np.errstate(divide="ignore", invalid="ignore"):
-                row = 2.0 * ms_ic / denom
+                block = 2.0 * ms_ic / denom
             if kind == RELEVANCE:
-                row = row * col_rel[mica]
-            row = np.where(denom == 0.0, 0.0, np.minimum(row, 1.0))
-        sim[a, a:] = row
-        sim[a:, a] = row
+                block *= col_rel[m]
+            block = np.where(denom == 0.0, 0.0, np.minimum(block, 1.0))
+        sim[lo : lo + _ROWS] = block  # ``m`` is read in full before this write
     return sim
 
 
@@ -207,12 +234,13 @@ def semantic_distance_matrix(
     """Semantic DistanceMatrix over ``genes``, bit-identical to
     ``gene_semantic_distance`` on every off-diagonal pair.
 
-    The term table and the gene fill are numpy loops over rows.
     ``half[i, j]`` is the mean, over gene ``j``'s terms, of each
     term's best match among gene ``i``'s terms; the table is symmetric, so
-    ``half[j, i]`` is the other side of the pair's best-match average.
-    Genes with equal term counts are gathered together, so each mean is a
-    row mean with numpy's 1-D summation order, as in the scalar path.
+    ``half[j, i]`` is the other side of the pair's best-match average.  The
+    fill takes ``_GENES`` rows ``i`` at a time.  Genes with equal term
+    counts are gathered together, one (rows x genes, count) 2-D gather per
+    count, so each mean is a row mean with numpy's 1-D summation order, as
+    in the scalar path.
     Each pair is summed as ``half[i, j] + half[j, i]`` into ``half``
     itself, row by row, so no second n x n array is made.
     """
@@ -229,10 +257,16 @@ def semantic_distance_matrix(
 
     n = len(genes)
     half = np.empty((n, n))
-    for i in range(n):
-        cover = sim[idx[i]].max(axis=0)
+    cover = np.empty((_GENES, len(union)))
+    for lo in range(0, n, _GENES):
+        block = idx[lo : lo + _GENES]
+        b = len(block)
+        for r, ix in enumerate(block):
+            sim[ix].max(axis=0, out=cover[r])  # each term's best match in gene lo + r
         for js, ix in groups:
-            half[i, js] = cover[ix].mean(axis=1)
+            gathered = np.take(cover[:b], ix, axis=1)  # (b, genes of the size, size)
+            means = gathered.reshape(-1, ix.shape[1]).mean(axis=1)
+            half[lo : lo + b, js] = means.reshape(b, len(js))
     # symmetrize in place: row i's upper part and column i's lower part
     # are untouched by the rows before it
     for i in range(n - 1):

@@ -1,4 +1,6 @@
 import io
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +103,13 @@ def random_dag_corpus(seed: int, n_terms: int = 50, n_genes: int = 60):
         direct[f"gene{i:03d}"] = {t, extra}
     corpus = build_corpus(direct, onto, BP)
     return onto, corpus
+
+
+def perfbench_godag():
+    """The benchmark's GO-shaped DAG generator, ``perfbench/godag.py``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import godag
+    finally:
+        sys.path.pop(0)
+    return godag

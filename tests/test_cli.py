@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,14 @@ import pytest
 
 import gofusion
 from gofusion.annotations import load_annotations
-from gofusion.cli import PipelineConfig, build_config, main, parse_config_text
+from gofusion.cli import (
+    _OWN_FLAGS,
+    COMMANDS,
+    PipelineConfig,
+    build_config,
+    main,
+    parse_config_text,
+)
 from gofusion.errors import ConfigError
 from gofusion.ontology import parse_obo
 from gofusion.synth import ROOT, make_dataset, write_dataset
@@ -131,6 +139,63 @@ class TestSubcommandFlags:
         flags = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.M))
         options = {f"--{f.name.replace('_', '-')}" for f in fields(PipelineConfig)}
         assert flags == options | {"--config", "--from-manifest"}
+
+    @staticmethod
+    def reference_parser():
+        """The parser as built before only the invoked subcommand got its
+        flags: every subcommand with all of its flags."""
+        top = argparse.ArgumentParser(
+            prog="gofusion",
+            description="Infer GO biological-process labels for unannotated genes "
+            "by fusing expression and semantic distances.",
+        )
+        sub = top.add_subparsers(dest="command", required=True)
+        for name, (text, run, options) in COMMANDS.items():
+            p = sub.add_parser(name, help=text, allow_abbrev=False)
+            p.add_argument("--config", help="flat key = value config file")
+            for key in options:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, **_OWN_FLAGS.get(key, {}))
+            p.set_defaults(run=run)
+        return top, sub
+
+    @classmethod
+    def reference_outcome(cls, argv, capsys):
+        top, sub = cls.reference_parser()
+        with pytest.raises(SystemExit) as exc:
+            args, extra = top.parse_known_args(argv)
+            sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @staticmethod
+    def outcome(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["-h", "pipeline"],
+            *([name, "--help"] for name in COMMANDS),
+            ["nosuch"],
+            ["nosuch", "--k", "5"],
+            [],
+            ["--k", "5", "eval"],  # a flag before the subcommand
+            ["cluster", "--k", "5", "--metric", "pearson"],  # assign's flag
+            ["distances", "--seed", "1", "pipeline"],  # tune-gamma's flag; an extra word
+            ["infer", "--alpha"],  # a flag without its value
+        ],
+        ids=lambda argv: " ".join(argv) or "none",
+    )
+    def test_same_text_as_full_parser(self, capsys, argv):
+        """Building only the invoked subcommand's flags changes no help
+        text, usage line or error message."""
+        got = self.outcome(argv, capsys)
+        assert got == self.reference_outcome(argv, capsys)
+        assert got[1] or got[2]
 
     def test_config_file_may_name_any_option(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -1,8 +1,6 @@
 """The ancestor bitsets against the DFS closures and set-union counts they replace."""
 
 import math
-import sys
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +14,7 @@ from gofusion.enrichment import InferredAnnotation, export_term_graph  # noqa: E
 from gofusion.ontology import parse_obo  # noqa: E402
 from gofusion.semantic import _ancestor_columns  # noqa: E402
 
+from conftest import perfbench_godag  # noqa: E402
 from test_roundtrip import ontologies  # noqa: E402
 
 
@@ -143,12 +142,7 @@ def test_term_graph_equals_dfs_reference(inputs):
 
 
 def test_term_graph_equals_dfs_reference_on_godag(tmp_path):
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        import godag
-    finally:
-        sys.path.pop(0)
-    files = godag.write_godag(3, tmp_path)
+    files = perfbench_godag().write_godag(3, tmp_path)
     o = parse_obo(files["obo"].read_bytes())
     bp = "biological_process"
     direct = load_annotations(files["annotations"].read_bytes(), o, bp).direct

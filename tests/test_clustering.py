@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,41 @@ class TestOracle:
                     start = sorted(rng.choice(n, size=k, replace=False).tolist())
                     assert swap_refine(d, start) == reference_swap(d, start)
 
+
+    def test_build_sums_over_all_rows_keep_the_bits(self):
+        """``pam_build`` sums its gains over every row, the medoids' rows
+        included: those add zeros, and every round's scores equal the sums
+        over the other rows alone, bit for bit."""
+        rng = np.random.default_rng(2020)
+        cases = [oracle_matrix(rng, int(rng.integers(2, 16)), kind)
+                 for kind in ("uniform", "quantized", "points") for _ in range(100)]
+        cases.append(oracle_matrix(rng, 200, "quantized"))
+        for d in cases:
+            n, k = len(d), min(len(d), 60)
+            medoids = [initial_medoid(d)]
+            nearest = d[:, medoids[0]].copy()
+            while len(medoids) < k:
+                rest = np.ones(n, dtype=bool)
+                rest[medoids] = False
+                every = np.maximum(nearest[:, None] - d, 0.0).sum(axis=0)
+                others = np.maximum(nearest[rest, None] - d[rest], 0.0).sum(axis=0)
+                assert every.tobytes() == others.tobytes()
+                scores = every - np.maximum(nearest, 0.0)
+                scores[medoids] = -np.inf
+                medoids.append(int(scores.argmax()))
+                np.minimum(nearest, d[:, medoids[-1]], out=nearest)
+            assert build_medoids(d, k) == medoids
+
+    def test_build_holds_one_gains_buffer(self):
+        """``pam_build`` reuses one n x n buffer for its gains in every round."""
+        d = random_distance_matrix(np.random.default_rng(12), 400).d
+        tracemalloc.start()
+        try:
+            build_medoids(d, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.nbytes
 
 class TestValidation:
     def test_k_out_of_range(self):

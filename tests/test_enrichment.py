@@ -1,10 +1,14 @@
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from gofusion import enrichment
 from gofusion.annotations import build_corpus
 from gofusion.clustering import Cluster, Partition
 from gofusion.enrichment import (
+    EnrichmentRecord,
     benjamini_hochberg,
     enrich_cluster,
     enrich_partition,
@@ -17,6 +21,7 @@ from gofusion.enrichment import (
     InferredAnnotation,
 )
 from gofusion.errors import ConfigError, UnknownIdError
+from gofusion.synth import make_dataset
 
 from conftest import BP
 
@@ -234,3 +239,74 @@ class TestTermGraph:
         inferred = [InferredAnnotation("b0", (("GO:7654321", 0.01),), 0, True)]
         with pytest.raises(UnknownIdError):
             export_term_graph(inferred, None, fixture_ontology)
+
+
+def reference_enrich_cluster(cluster, background, c, alpha, correction):
+    """``enrich_cluster`` as written before the background counts were
+    hoisted: the whole background is recounted on every call."""
+    members = sorted(cluster.members_a)
+    bg = sorted(background)
+    n, N = len(members), len(bg)
+    cluster_counts, bg_counts = {}, {}
+    for g in members:
+        for t in c.direct_terms(g):
+            cluster_counts[t] = cluster_counts.get(t, 0) + 1
+    for g in bg:
+        for t in c.direct.get(g, ()):
+            bg_counts[t] = bg_counts.get(t, 0) + 1
+    terms = sorted(cluster_counts)
+    raw = [hypergeom_tail(N, bg_counts[t], n, cluster_counts[t]) for t in terms]
+    final = benjamini_hochberg(raw) if correction == "benjamini_hochberg" else raw
+    records = [
+        EnrichmentRecord(t, p, cluster_counts[t], bg_counts[t], n, N)
+        for t, p in zip(terms, final)
+        if p <= alpha
+    ]
+    records.sort(key=lambda r: (r.p_value, r.term))
+    return records
+
+
+class TestBackgroundCounts:
+    @pytest.fixture(scope="class")
+    def synth_case(self):
+        corpus = make_dataset(seed=2).corpus_a()
+        genes = corpus.genes()
+        # runs of sorted ids share a subgroup, so most clusters have passing terms
+        labels = np.arange(len(genes)) * 12 // len(genes)
+        clusters = []
+        for k in range(12):
+            members = frozenset(g for g, lab in zip(genes, labels) if lab == k)
+            if members:
+                b = frozenset(f"b{k}_{i}" for i in range(k % 3))  # some clusters get none
+                clusters.append(Cluster(min(members), members, b))
+        # background genes without annotations are counted as such
+        background = set(genes) | {"unannotated0", "unannotated1"}
+        return Partition(tuple(clusters), len(clusters), 0.0), background, corpus
+
+    @pytest.mark.parametrize("correction", ["none", "benjamini_hochberg"])
+    def test_records_equal_recounting_reference(self, synth_case, correction):
+        part, background, corpus = synth_case
+        expected = [
+            (i, r)
+            for i, cl in enumerate(part.clusters)
+            if cl.members_b
+            for r in reference_enrich_cluster(cl, background, corpus, 0.2, correction)
+        ]
+        assert len({i for i, _ in expected}) > 1
+        assert enrich_partition(part, background, corpus, 0.2, correction) == expected
+        inferred = infer_functions(part, background, corpus, 0.2, correction)
+        terms = {i: tuple((r.term, r.p_value) for _, r in group)
+                 for i, group in itertools.groupby(expected, key=lambda ir: ir[0])}
+        assert inferred and all(rec.terms == terms.get(rec.cluster_index, ()) for rec in inferred)
+
+    @pytest.mark.parametrize("run", [enrich_partition, infer_functions])
+    def test_one_count_per_pass(self, synth_case, run):
+        part, background, corpus = synth_case
+        with mock.patch.object(
+            enrichment, "background_counts", wraps=enrichment.background_counts
+        ) as counts, mock.patch.object(
+            enrichment, "enrich_cluster", wraps=enrichment.enrich_cluster
+        ) as per_cluster:
+            run(part, background, corpus, 0.2)
+        assert counts.call_count == 1
+        assert per_cluster.call_count == sum(1 for cl in part.clusters if cl.members_b)

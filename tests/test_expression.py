@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,8 +283,23 @@ def _histogram_reference(dm, bins=50):
         random_distance_matrix(np.random.default_rng(7), 31),
         mirrored(np.triu(np.random.default_rng(9).integers(0, 5, (12, 12)) / 4, 1)),
         _signed_zeros_at_block_edge(distinct=False),
+        random_distance_matrix(np.random.default_rng(8), 2 * cli._HISTOGRAM_ROWS + 3),
     ],
-    ids=["n2", "n31", "ties", "signed-zeros"],
+    ids=["n2", "n31", "ties", "signed-zeros", "three-row-blocks"],
 )
 def test_histogram_same_as_triu_indices(dm):
     assert cli._histogram_csv(dm) == _histogram_reference(dm)
+
+
+def test_histogram_copies_no_triangle():
+    """The counts are taken a block of rows at a time: with small blocks the
+    peak stays near the triangle mask, far below the triangle's own bytes."""
+    dm = random_distance_matrix(np.random.default_rng(10), 600)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "_HISTOGRAM_ROWS", 8):
+            cli._histogram_csv(dm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * dm.d.nbytes

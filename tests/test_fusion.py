@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gofusion import fusion
 from gofusion.clustering import Cluster, Partition
 from gofusion.errors import AlignmentError, ConfigError
 from gofusion.expression import DistanceMatrix, ExpressionMatrix, expression_distance_matrix
@@ -70,6 +71,32 @@ class TestCombineGamma:
         assert (combine_gamma(d_e, d_go, 1.0).d == d_go.d).all()
         mid = combine_gamma(d_e, d_go, 0.5).d
         assert np.abs(mid - (d_e.d + d_go.d) / 2).max() < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.35, 0.5, 1.0])
+    def test_same_bits_as_whole_matrix_blend(self, gamma):
+        """Adding ``d_e`` a block of rows at a time gives the bits of one
+        whole-matrix blend."""
+        rng = np.random.default_rng(4)
+        d_e = random_distance_matrix(rng, 2 * fusion._BLEND_ROWS + 3)
+        d_go = random_distance_matrix(rng, len(d_e.genes), genes=d_e.genes)
+        whole = gamma * d_go.d + (1.0 - gamma) * d_e.d
+        np.clip(whole, 0.0, 1.0, out=whole)
+        np.fill_diagonal(whole, 0.0)
+        assert combine_gamma(d_e, d_go, gamma).d.tobytes() == whole.tobytes()
+
+    def test_no_n_by_n_temporary(self):
+        """Besides its result the blend holds one block of rows and the
+        validation's boolean masks, not a second n x n float array."""
+        rng = np.random.default_rng(5)
+        d_e = random_distance_matrix(rng, 600)
+        d_go = random_distance_matrix(rng, 600, genes=d_e.genes)
+        tracemalloc.start()
+        try:
+            combine_gamma(d_e, d_go, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d_e.d.nbytes
 
     def test_arithmetic_example(self):
         d_e = DistanceMatrix(("a", "b"), np.array([[0.0, 0.2], [0.2, 0.0]]))

@@ -1,11 +1,16 @@
 import hashlib
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gofusion.errors import ParseError, UnknownIdError, ValidationError
-from gofusion.ontology import parse_obo, to_obo_text
+from gofusion.errors import GofusionError, ParseError, UnknownIdError, ValidationError
+from gofusion.ontology import IS_A, PART_OF, Ontology, Term, is_term_id, parse_obo, to_obo_text
+from gofusion.synth import make_dataset, write_dataset
 
-from conftest import BP, FIXTURE_OBO, ROOT
+from conftest import BP, FIXTURE_OBO, ROOT, perfbench_godag
 
 OBSOLETE_TERM = (
     "\n[Term]\nid: GO:0000009\nname: gone\nnamespace: biological_process\n"
@@ -193,3 +198,146 @@ def test_byte_order_mark_dropped(mark):
     assert sorted(o.terms) == ["GO:0000001", "GO:0008150"]
     assert o.ancestors("GO:0000001") == frozenset({"GO:0000001", "GO:0008150"})
     assert o.source_digest == hashlib.sha256(data).hexdigest()
+
+
+def reference_parse_obo(data):
+    """``parse_obo`` as written before its tag table: every value stripped,
+    an if-chain over the tag names and a stanza flushed by a closure."""
+    if isinstance(data, bytes):
+        digest = hashlib.sha256(data).hexdigest()
+        text = data.decode("utf-8-sig")
+    else:
+        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        text = data
+
+    terms = {}
+    in_term = False
+    cur_id = None
+    cur_name = ""
+    cur_ns = ""
+    cur_parents = set()
+    cur_obsolete = False
+
+    def flush(at_line):
+        nonlocal cur_id
+        if cur_id is None:
+            if in_term and (cur_name or cur_parents):
+                raise ParseError("[Term] stanza without an id tag", at_line)
+            return
+        if cur_id in terms:
+            raise ParseError(f"duplicate term id {cur_id}", at_line)
+        parents = frozenset() if cur_obsolete else frozenset(cur_parents)
+        terms[cur_id] = Term(
+            id=cur_id, name=cur_name, namespace=cur_ns, parents=parents, obsolete=cur_obsolete
+        )
+        cur_id = None
+
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            flush(lineno)
+            in_term = line == "[Term]"
+            cur_id, cur_name, cur_ns = None, "", ""
+            cur_parents, cur_obsolete = set(), False
+            continue
+        if not in_term:
+            continue
+        tag, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"expected 'tag: value', got {line!r}", lineno)
+        tag = tag.strip()
+        value = value.strip()
+        if tag == "id":
+            if not is_term_id(value):
+                raise ParseError(f"malformed term id {value!r}", lineno)
+            cur_id = value
+        elif tag == "name":
+            cur_name = value
+        elif tag == "namespace":
+            cur_ns = value
+        elif tag == "is_a":
+            target = value.split("!", 1)[0].strip()
+            if not is_term_id(target):
+                raise ParseError(f"malformed is_a target {value!r}", lineno)
+            cur_parents.add((target, IS_A))
+        elif tag == "relationship":
+            parts = value.split("!", 1)[0].split()
+            if len(parts) == 2 and parts[0] == PART_OF:
+                if not is_term_id(parts[1]):
+                    raise ParseError(f"malformed part_of target {value!r}", lineno)
+                cur_parents.add((parts[1], PART_OF))
+        elif tag == "is_obsolete":
+            cur_obsolete = value == "true"
+    flush(lineno + 1)
+
+    dangling = sorted(
+        {parent for term in terms.values() for parent, _ in term.parents if parent not in terms}
+    )
+    if dangling:
+        raise ValidationError(f"parent references to unknown terms: {dangling}")
+    return Ontology(terms, source_digest=digest)
+
+
+def parse_outcome(parse, data):
+    """What ``parse`` makes of ``data``: the ontology's parts, or the error."""
+    try:
+        o = parse(data)
+    except GofusionError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return o.terms, o.topo_order, o.roots, o.source_digest
+
+
+def damaged(text: str, rng) -> str:
+    """``text`` with one random line changed, dropped, repeated or moved."""
+    lines = text.split("\n")
+    i = int(rng.integers(len(lines)))
+    line = lines[i]
+    how = int(rng.integers(10))
+    if how == 0:
+        del lines[i]
+    elif how == 1:
+        lines.insert(i, line)
+    elif how == 2:
+        lines[i] = line.replace(":", " ", 1)
+    elif how == 3:
+        lines[i] = re.sub(r"\d", "x", line, count=1)
+    elif how == 4:
+        lines[i] = line.replace(":", " : ", 1)
+    elif how == 5:
+        lines[i] = "\t" + line + " \x0c"
+    elif how == 6:
+        j = int(rng.integers(len(lines)))
+        lines[i], lines[j] = lines[j], line
+    elif how == 7:
+        lines[i] = line.replace("[Term]", "[Typedef]").replace("false", "true")
+    elif how == 8:
+        lines[i] = line + " ! " + line
+    else:  # a space inside a tag, a value or a stanza header
+        lines[i] = line[: len(line) // 2] + " " + line[len(line) // 2 :]
+    return "\n".join(lines)
+
+
+def obo_sources():
+    with tempfile.TemporaryDirectory() as tmp:
+        yield "godag", perfbench_godag().write_godag(5, Path(tmp))["obo"].read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        yield "synth", write_dataset(make_dataset(seed=3), Path(tmp))["obo"].read_bytes()
+    yield "fixture", (FIXTURE_OBO + OBSOLETE_TERM).encode()
+
+
+@pytest.mark.parametrize("name, data", list(obo_sources()), ids=lambda v: v if isinstance(v, str) else "")
+def test_parser_equals_reference_on_whole_and_damaged_files(name, data):
+    assert parse_outcome(parse_obo, data) == parse_outcome(reference_parse_obo, data)
+    text = data.decode()
+    rng = np.random.default_rng(len(data))
+    kinds = set()
+    for _ in range(60 if name == "fixture" else 15):
+        bad = damaged(text, rng)
+        for form in (bad, bad.replace("\n", "\r\n").encode()):
+            got = parse_outcome(parse_obo, form)
+            assert got == parse_outcome(reference_parse_obo, form)
+            kinds.add(re.sub(r"\d+", "", got[1])[:30] if isinstance(got[0], type) else "ok")
+    assert len(kinds) >= 3  # the damage reaches several kinds of error

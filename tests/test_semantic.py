@@ -1,22 +1,29 @@
+import dataclasses
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gofusion.annotations import build_corpus, term_probability
+from gofusion.annotations import build_corpus, load_annotations, term_probability
 from gofusion.errors import UnknownIdError, ValidationError
+from gofusion.expression import load_expression
 from gofusion.ontology import parse_obo
 from gofusion.semantic import (
     SIMILARITY_KINDS,
+    _ancestor_columns,
+    _sim_from_ic,
     _term_sim_table,
     gene_semantic_distance,
     min_subsumer,
     semantic_distance_matrix,
     term_similarity,
 )
+from gofusion.synth import make_dataset, write_dataset
 
-from conftest import BP, FIXTURE_OBO, ROOT, random_dag_corpus
+from conftest import BP, FIXTURE_OBO, ROOT, perfbench_godag, random_dag_corpus
 
 TERMS = [ROOT, "GO:0000001", "GO:0000002", "GO:0000003"]
 
@@ -199,6 +206,21 @@ class TestSemanticMatrix:
                     assert dm.d[i, j] == gene_semantic_distance(onto, corpus, gi, gj)
 
 
+def sum_with_transpose(onto, corpus, genes, kind):
+    """The semantic matrix from one best-match mean per gene pair, then
+    ``half + half.T``."""
+    terms = sorted({t for g in genes for t in corpus.direct_terms(g)})
+    pos = {t: k for k, t in enumerate(terms)}
+    sim = _term_sim_table(onto, corpus, terms, kind)
+    idx = [[pos[t] for t in sorted(corpus.direct_terms(g))] for g in genes]
+    half = np.array([[sim[np.ix_(ti, tj)].max(axis=0).mean() for tj in idx] for ti in idx])
+    d = half + half.T
+    d *= 0.5
+    d = np.clip(1.0 - d, 0.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 class TestVectorizedEqualsScalar:
     """The table and the matrix are vectorized; the scalar functions are the
     oracles, and every entry must equal them exactly."""
@@ -238,16 +260,8 @@ class TestVectorizedEqualsScalar:
         """Symmetrizing in place gives the bits of ``half + half.T``."""
         onto, corpus = dag
         genes = corpus.genes()
-        terms = sorted({t for g in genes for t in corpus.direct_terms(g)})
-        sim = _term_sim_table(onto, corpus, terms, kind)
-        idx = [[terms.index(t) for t in sorted(corpus.direct_terms(g))] for g in genes]
-        half = np.array([[sim[np.ix_(ti, tj)].max(axis=0).mean() for tj in idx] for ti in idx])
-        d = half + half.T
-        d *= 0.5
-        d = np.clip(1.0 - d, 0.0, 1.0)
-        np.fill_diagonal(d, 0.0)
         dm = semantic_distance_matrix(onto, corpus, genes, kind)
-        assert dm.d.tobytes() == d.tobytes()
+        assert dm.d.tobytes() == sum_with_transpose(onto, corpus, genes, kind).tobytes()
 
     def test_table_rejects_unknown_kind(self, fixture_ontology, fixture_corpus):
         with pytest.raises(ValidationError):
@@ -267,3 +281,133 @@ class TestVectorizedEqualsScalar:
         c = build_corpus({"gA": {"GO:0000003"}}, o, BP)
         with pytest.raises(ValidationError):
             _term_sim_table(o, c, ["GO:0000003", bad], "relevance")
+
+
+def reference_table(onto, corpus, terms, kind):
+    """The term table as computed before painting: row ``a`` finds the
+    minimum subsumer of every ``b >= a`` with one ragged min over the
+    ancestor columns of those terms."""
+    ics = np.array([corpus.ic[t] for t in terms])
+    peak = max(corpus.ic.values())
+    cols, flat, starts = _ancestor_columns(onto, corpus, terms)
+    no_mica = len(cols)
+    col_ic = np.array([corpus.ic[t] for t in cols] + [-1.0])
+    col_rel = np.array([1.0 - math.exp(-ic) for ic in col_ic])
+    ends = np.append(starts[1:], len(flat))
+    u = len(terms)
+    sim = np.zeros((u, u))
+    shared = np.zeros(no_mica + 1, dtype=bool)
+    for a in range(u):
+        shared[:] = False
+        shared[flat[starts[a]:ends[a]]] = True
+        tail = flat[starts[a]:]
+        cand = np.where(shared[tail], tail, no_mica)
+        mica = np.minimum.reduceat(cand, starts[a:] - starts[a])
+        ms_ic = col_ic[mica]
+        if kind == "resnik_normalized":
+            row = np.minimum(ms_ic / peak, 1.0) if peak != 0.0 else np.zeros(u - a)
+        else:
+            denom = ics[a] + ics[a:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                row = 2.0 * ms_ic / denom
+            if kind == "relevance":
+                row = row * col_rel[mica]
+            row = np.where(denom == 0.0, 0.0, np.minimum(row, 1.0))
+        sim[a, a:] = row
+        sim[a:, a] = row
+    return sim
+
+
+def godag_corpus(seed: int):
+    """The GO-shaped DAG of the benchmark generator, its corpus and A genes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = perfbench_godag().write_godag(seed, Path(tmp))
+        onto = parse_obo(files["obo"].read_bytes())
+        corpus = load_annotations(files["annotations"].read_bytes(), onto, BP)
+        genes = load_expression(files["expression_a"].read_text()).genes
+    return onto, corpus, genes
+
+
+def synth_corpus(seed: int):
+    ds = make_dataset(seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = write_dataset(ds, Path(tmp))
+        onto = parse_obo(files["obo"].read_bytes())
+        corpus = load_annotations(files["annotations"].read_bytes(), onto, BP)
+    return onto, corpus, corpus.genes()
+
+
+class TestPaintedTable:
+    """The painted term table against the row loop it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["synth", "godag", "part_of", "ties"])
+    def case(self, request):
+        if request.param == "synth":
+            onto, corpus, genes = synth_corpus(5)
+        elif request.param == "godag":
+            onto, corpus, genes = godag_corpus(2)
+        elif request.param == "part_of":
+            onto, corpus = part_of_dag_corpus(seed=11)
+            genes = corpus.genes()
+        else:  # a term of probability 1 ties the root's IC
+            onto, corpus = random_dag_corpus(seed=4)
+            genes = corpus.genes()
+        terms = sorted({t for g in genes for t in corpus.direct_terms(g)})
+        return onto, corpus, terms
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_equals_row_loop(self, case, kind):
+        onto, corpus, terms = case
+        sim = _term_sim_table(onto, corpus, terms, kind)
+        assert sim.tobytes() == reference_table(onto, corpus, terms, kind).tobytes()
+
+    def test_ic_ties_present(self, case):
+        """Columns of equal IC, whose order falls to the term id."""
+        onto, corpus, terms = case
+        cols, _flat, _starts = _ancestor_columns(onto, corpus, terms)
+        ics = [corpus.ic[t] for t in cols]
+        assert len(set(ics)) < len(ics)
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    @pytest.mark.parametrize("u", [1, 2])
+    def test_one_and_two_terms(self, kind, u):
+        onto, corpus = part_of_dag_corpus(seed=11)
+        for start in range(0, len(corpus.ic) - u, 7):
+            terms = sorted(corpus.ic)[start:start + u]
+            sim = _term_sim_table(onto, corpus, terms, kind)
+            assert sim.shape == (u, u)
+            assert sim.tobytes() == reference_table(onto, corpus, terms, kind).tobytes()
+
+    def test_no_terms(self, fixture_ontology, fixture_corpus):
+        assert _term_sim_table(fixture_ontology, fixture_corpus, [], "relevance").shape == (0, 0)
+
+    @pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+    def test_pairs_sharing_only_ancestors_without_ic(self, kind):
+        """Without the root's IC, terms of different branches share no
+        ancestor with an IC and take the sentinel's value."""
+        onto, corpus = random_dag_corpus(seed=4)
+        ic = {t: v for t, v in corpus.ic.items() if t != ROOT}
+        corpus = dataclasses.replace(corpus, ic=ic)
+        terms = sorted(ic)
+        sim = _term_sim_table(onto, corpus, terms, kind)
+        assert sim.tobytes() == reference_table(onto, corpus, terms, kind).tobytes()
+        disjoint = [
+            (a, b)
+            for a, ta in enumerate(terms)
+            for b, tb in enumerate(terms)
+            if not (onto.ancestors(ta) & onto.ancestors(tb)) & ic.keys()
+        ]
+        assert disjoint
+        peak = max(ic.values())
+        for a, b in disjoint:
+            fallback = _sim_from_ic(-1.0, ic[terms[a]], ic[terms[b]], kind, peak)
+            assert sim[a, b] == fallback
+
+
+@pytest.mark.parametrize("kind", SIMILARITY_KINDS)
+@pytest.mark.parametrize("source", ["synth", "godag"])
+def test_gene_fill_across_blocks_same_as_sum_with_transpose(source, kind):
+    """The gene fill's blocks of genes, 180 genes here, change no bit."""
+    onto, corpus, genes = synth_corpus(2) if source == "synth" else godag_corpus(3)
+    dm = semantic_distance_matrix(onto, corpus, genes, kind)
+    assert dm.d.tobytes() == sum_with_transpose(onto, corpus, genes, kind).tobytes()
