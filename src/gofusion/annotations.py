@@ -7,11 +7,14 @@ content is the natural-log surprisal of the propagated term probability.
 The log base is not configurable: downstream term similarity relies on
 ``exp(-ic(t)) == p(t)``.
 
-Propagation reads the ontology's ancestor bitsets (``Ontology.closure_bits``):
-a gene's mask is the OR of its direct terms' bitsets, and the column sums of
-the masks unpacked into a genes × terms 0/1 matrix (``Ontology.bit_rows``:
-``int.to_bytes`` little-endian, then ``np.unpackbits``) are ``prop_count``
-by ``topo_order`` position.
+Propagation reads the ontology's ancestor bitsets (``Ontology.closure_bits``),
+which the ontology computes on request, so only the directly annotated terms
+and their ancestors get one: a gene's mask is the OR of its direct terms'
+bitsets, and the column sums of the masks unpacked into a genes × terms 0/1
+matrix (``Ontology.bit_rows``: ``int.to_bytes`` little-endian, then
+``np.unpackbits``) are ``prop_count`` by ``topo_order`` position.  The masks
+are unpacked a block of genes at a time, about ``_COUNT_BYTES`` bytes
+whatever the ontology's width.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ GeneId = str
 
 DEFAULT_EXCLUDED_EVIDENCE = frozenset({"ND"})
 
-# genes unpacked at once by build_corpus, which bounds its bit matrix
-# to _COUNT_BLOCK bytes per live term
-_COUNT_BLOCK = 1024
+# bytes of the 0/1 matrix build_corpus unpacks at once: one byte per gene
+# and live term, so a block holds _COUNT_BYTES // (live terms) genes
+_COUNT_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,11 @@ def build_corpus(
         masks.append(mask)
         if terms == {root}:
             root_only += 1
-    n = len(direct)
-    counts = np.zeros(len(o.topo_order), dtype=np.int64)
-    for lo in range(0, n, _COUNT_BLOCK):
-        counts += o.bit_rows(masks[lo:lo + _COUNT_BLOCK]).sum(axis=0, dtype=np.int64)
+    n, width = len(direct), len(o.topo_order)
+    block = max(1, _COUNT_BYTES // width)
+    counts = np.zeros(width, dtype=np.int64)
+    for lo in range(0, n, block):
+        counts += o.bit_rows(masks[lo:lo + block]).sum(axis=0, dtype=np.int64)
     hit = np.flatnonzero(counts)
     prop = dict(zip([o.topo_order[j] for j in hit.tolist()], counts[hit].tolist()))
     ic = {t: -math.log(c / n) for t, c in prop.items()}

@@ -422,15 +422,23 @@ def _tune(
 
 
 def _fuse(
-    cfg: PipelineConfig, d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float | None = None
+    cfg: PipelineConfig,
+    held_e: list[DistanceMatrix],
+    d_go: DistanceMatrix,
+    gamma: float | None = None,
 ) -> tuple[float, DistanceMatrix]:
     """The percentile blend at 0.5, or the raw blend at ``gamma`` (by default
-    the configured one); writes ``d_gamma.tsv`` and returns the gamma used."""
+    the configured one); writes ``d_gamma.tsv`` and returns the gamma used.
+
+    ``held_e`` is a one-item list holding ``d_e``, which is taken out, so that
+    when the caller keeps no other reference the raw ``d_e`` is freed once it
+    is equalized, before ``d_go`` is."""
+    d_e = held_e.pop()
     if cfg.balancing == "percentile":
         gamma = 0.5
-        d_gamma = combine_gamma(
-            percentile_equalize(d_e, cfg.m), percentile_equalize(d_go, cfg.m), gamma
-        )
+        eq_e = percentile_equalize(d_e, cfg.m)
+        del d_e
+        d_gamma = combine_gamma(eq_e, percentile_equalize(d_go, cfg.m), gamma)
     else:
         gamma = float(cfg.gamma) if gamma is None else gamma
         d_gamma = combine_gamma(d_e, d_go, gamma)
@@ -580,8 +588,9 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         tuned = None
         if cfg.balancing == "gamma_tuning":
             tuned = _tune(cfg, expr_a, d_e, d_go)
-        gamma_used, d_gamma = _fuse(cfg, d_e, d_go, tuned)
+        held_e = [d_e]
         del d_e  # the later stages read d_go, d_gamma and the expression only
+        gamma_used, d_gamma = _fuse(cfg, held_e, d_go, tuned)
         manifest["balancing"] = {
             "mode": cfg.balancing,
             "gamma_used": gamma_used,
@@ -666,9 +675,9 @@ def cmd_cluster(cfg: PipelineConfig) -> None:
             "cluster works with balancing=percentile or fixed_gamma; "
             "run tune-gamma first and pass --balancing fixed_gamma --gamma <best>"
         )
-    d_e = read_distance_tsv(_read(cfg, "d_e"))
+    held_e = [read_distance_tsv(_read(cfg, "d_e"))]
     d_go = read_distance_tsv(_read(cfg, "d_go"))
-    gamma_used, d_gamma = _fuse(cfg, d_e, d_go)
+    gamma_used, d_gamma = _fuse(cfg, held_e, d_go)
     part = cluster_a(d_gamma, cfg.k, cfg.seeding)
     _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
     _write(

@@ -30,6 +30,9 @@ PAM_BUILD = "pam_build"
 LITERAL = "literal"
 SEEDINGS = (PAM_BUILD, LITERAL)
 
+# gain rows ``pam_build`` recomputes at once, which bounds its temporary
+_GAIN_ROWS = 64
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -93,10 +96,12 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
     """Greedy growth from the initial medoid to k medoids.
 
     Each gene's distance to its nearest medoid is lowered in place as
-    medoids are added.  ``pam_build`` computes its gains for all rows in one
-    reused n x n buffer: a medoid row's gains are zeros, and a zero added
-    to a column sum whose terms are all >= 0 leaves the sum as it was, so
-    the medoid rows need not be left out.  ``literal`` terms can be
+    medoids are added.  ``pam_build`` keeps its gains for all rows in one
+    n x n buffer: a medoid row's gains are zeros, and a zero added to a
+    column sum whose terms are all >= 0 leaves the sum as it was, so the
+    medoid rows need not be left out.  A row's gains depend only on its own
+    nearest distance, so after each added medoid only the rows whose nearest
+    distance changed, bit for bit, are recomputed.  ``literal`` terms can be
     negative, so its medoid rows are set to zero before the sum.
     """
     n = d.shape[0]
@@ -110,10 +115,14 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
     in_gamma[medoids[0]] = True
     if seeding == PAM_BUILD:
         gains = np.empty_like(d, order="C")  # one buffer for every round
+        changed = np.arange(n)
     while len(medoids) < k:
         if seeding == PAM_BUILD:
-            np.subtract(nearest[:, None], d, out=gains)
-            np.maximum(gains, 0.0, out=gains)
+            for lo in range(0, changed.size, _GAIN_ROWS):
+                rows = changed[lo : lo + _GAIN_ROWS]
+                block = d[rows]
+                np.subtract(nearest[rows, None], block, out=block)
+                gains[rows] = np.maximum(block, 0.0, out=block)
             scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
         else:
             diff = d - nearest[:, None]
@@ -123,7 +132,9 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
         x = int(scores.argmax())
         medoids.append(x)
         in_gamma[x] = True
+        was = nearest.copy()
         np.minimum(nearest, d[:, x], out=nearest)
+        changed = np.flatnonzero(nearest.view(np.uint64) != was.view(np.uint64))
     return medoids
 
 

@@ -6,13 +6,19 @@ Only the OBO 1.2 tag subset needed downstream is interpreted: ``id``,
 Ancestry follows both is_a and part_of edges, which is how mainstream GO
 tooling propagates annotations.
 
-Every ancestor closure is computed once, when the ontology is built: live
-term ``t`` sits at position ``index[t]`` of ``topo_order``, and
+Live term ``t`` sits at position ``index[t]`` of ``topo_order``, and
 ``closure_bits[t]`` is a Python int whose bit ``j`` is set when
-``topo_order[j]`` is an ancestor of ``t`` (itself included).  Filling them
-in topological order takes one OR per parent edge.  They hold about n²/16
-bytes for n live terms.  ``ancestors()`` finds the same sets by a DFS and
-is the scalar oracle the bitsets are tested against.
+``topo_order[j]`` is an ancestor of ``t`` (itself included).  A bitset is
+computed the first time it is asked for, after its parents' bitsets, with
+one OR per parent edge, and kept.  All of them would hold about n²/16 bytes
+for n live terms; a run holds only those of the terms it annotates and
+their ancestors.  ``ancestors()`` finds the same sets by a DFS and is the
+scalar oracle the bitsets are tested against.
+
+Memory grows with the release only where it must: child lists exist only
+while the ontology is checked, the OBO text is split into lines a block at
+a time, and each term id and namespace is one string object however often
+it occurs.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
+from collections.abc import Iterator, Mapping
+from itertools import chain
+from sys import intern
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +56,10 @@ _READ_TAGS = {
     "is_obsolete": _IS_OBSOLETE,
 }
 
+# characters of OBO text split into lines at once; a block is cut just after
+# a "\n", so no line and no "\r\n" pair spans two blocks
+_LINE_BLOCK = 1 << 16
+
 
 def is_term_id(s: str) -> bool:
     return bool(TERM_ID_RE.match(s))
@@ -62,22 +75,86 @@ class Term(NamedTuple):
     obsolete: bool = False
 
 
+class _Closures(Mapping):
+    """``Ontology.closure_bits``: a read-only mapping from each live term to
+    its ancestor bitset, computed on first request (parents first) and kept.
+
+    Iteration yields every live term in topological order; an unknown or
+    obsolete term is not a key.
+    """
+
+    def __init__(
+        self, terms: dict[TermId, Term], order: list[TermId], index: dict[TermId, int]
+    ):
+        self._terms = terms
+        self._order = order
+        self._index = index
+        self._bits: dict[TermId, int] = {}
+
+    def __getitem__(self, t: TermId) -> int:
+        hit = self._bits.get(t)
+        if hit is None:
+            if t not in self._index:
+                raise KeyError(t)
+            hit = self._compute(t)
+        return hit
+
+    def get(self, t: TermId, default: int | None = None) -> int | None:
+        # what the callers use: no raised and caught KeyError for a non-key
+        hit = self._bits.get(t)
+        if hit is None:
+            if t not in self._index:
+                return default
+            hit = self._compute(t)
+        return hit
+
+    def _compute(self, t: TermId) -> int:
+        """Compute the missing bitsets of ``t`` and of its ancestors, parents
+        first, and return ``t``'s.  Each stacked term is a parent of the one
+        below it, so in a DAG no term is stacked twice."""
+        terms, done, index = self._terms, self._bits, self._index
+        stack = [t]
+        while stack:
+            cur = stack[-1]
+            bits = 1 << index[cur]
+            for p, _kind in terms[cur].parents:
+                b = done.get(p)
+                if b is None:  # the parent first, then this term again
+                    stack.append(p)
+                    break
+                bits |= b
+            else:
+                done[cur] = bits
+                stack.pop()
+        return done[t]
+
+    def __contains__(self, t: object) -> bool:
+        return t in self._index
+
+    def __iter__(self) -> Iterator[TermId]:
+        return iter(self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+
 class Ontology:
-    """Immutable DAG of GO terms with parent/child indices.
+    """Immutable DAG of GO terms with parent indices.
 
     Obsolete terms are kept in ``terms`` (so inputs referencing them can be
     diagnosed) but are excluded from ``topo_order`` and from all closure
     queries.  ``topo_order`` lists every non-obsolete term with parents
     before children; ``index`` and ``closure_bits`` are described in the
-    module docstring.  ``source_digest`` is the SHA-256 of the parsed bytes
-    and is carried into all pipeline outputs, since results depend on the
-    GO release used.
+    module docstring.  Child lists are built only to order and check the
+    terms, and are not kept.  ``source_digest`` is the SHA-256 of the parsed
+    bytes and is carried into all pipeline outputs, since results depend on
+    the GO release used.
     """
 
     def __init__(self, terms: dict[TermId, Term], source_digest: str = ""):
         self.terms = terms
         self.source_digest = source_digest
-        self._children: dict[TermId, list[TermId]] = {t: [] for t in terms}
+        children: dict[TermId, list[TermId]] = {t: [] for t in terms}
         for term in terms.values():
             if term.obsolete:
                 continue
@@ -87,21 +164,14 @@ class Ontology:
                     raise ValidationError(
                         f"term {term.id} has obsolete parent(s): {', '.join(dead)}"
                     )
-                self._children[parent].append(term.id)
-        for kids in self._children.values():
+                children[parent].append(term.id)
+        for kids in children.values():
             kids.sort()
         self._ancestors: dict[TermId, frozenset[TermId]] = {}
         self.roots = self._find_roots()
-        self.topo_order = self._toposort()
+        self.topo_order = self._toposort(children)
         self.index = {t: i for i, t in enumerate(self.topo_order)}
-        closure: dict[TermId, int] = {}
-        for i, t in enumerate(self.topo_order):
-            bits = 1 << i
-            for parent, _kind in terms[t].parents:
-                bits |= closure[parent]
-            closure[t] = bits
-        self.closure_bits = closure
-        self._check_reachability()
+        self.closure_bits: Mapping[TermId, int] = _Closures(terms, self.topo_order, self.index)
 
     # -- construction checks -------------------------------------------------
 
@@ -122,35 +192,37 @@ class Ontology:
             out[ns] = ids[0]
         return out
 
-    def _toposort(self) -> list[TermId]:
+    def _toposort(self, children: dict[TermId, list[TermId]]) -> list[TermId]:
+        """The live terms, parents first, by a breadth-first walk down the
+        child edges from the parentless terms (the namespace roots).  The
+        walk also checks that every term reaches its own namespace's root."""
         indeg = {t.id: len(t.parents) for t in self._live_terms()}
-        queue = sorted(t for t, d in indeg.items() if d == 0)
+        under = dict.fromkeys(indeg, 0)  # bit i: reached from the i-th root
+        for i, root in enumerate(self.roots.values()):
+            under[root] = 1 << i
         order: list[TermId] = []
-        ready = deque(queue)
+        ready = deque(sorted(t for t, d in indeg.items() if d == 0))
         while ready:
             tid = ready.popleft()
             order.append(tid)
-            for child in self._children[tid]:
+            bits = under[tid]
+            for child in children[tid]:
+                under[child] |= bits
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     ready.append(child)
         if len(order) != len(indeg):
             member = min(t for t, d in indeg.items() if d > 0)
             raise ValidationError(f"parent relation contains a cycle through {member}")
-        return order
-
-    def _check_reachability(self) -> None:
-        for ns, root in self.roots.items():
-            root_bit = 1 << self.index[root]
+        for i, (ns, root) in enumerate(self.roots.items()):
             stranded = [
-                t
-                for t, bits in self.closure_bits.items()
-                if not bits & root_bit and self.terms[t].namespace == ns
+                t for t in order if not under[t] >> i & 1 and self.terms[t].namespace == ns
             ]
             if stranded:
                 raise ValidationError(
                     f"terms cannot reach the {ns} root {root}: {sorted(stranded)[:5]}"
                 )
+        return order
 
     # -- queries -------------------------------------------------------------
 
@@ -199,6 +271,22 @@ class Ontology:
             raise UnknownIdError(f"no root for namespace {namespace!r}") from None
 
 
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in blocks of ``_LINE_BLOCK`` characters or a little more,
+    each cut just after a line feed, so that no line spans two blocks."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _LINE_BLOCK - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, split a block at a time, so the whole list of
+    lines is never held."""
+    return chain.from_iterable(map(str.splitlines, _blocks(text)))
+
+
 def parse_obo(data: bytes | str) -> Ontology:
     """Parse OBO 1.2 flat text into an :class:`Ontology`.
 
@@ -206,6 +294,7 @@ def parse_obo(data: bytes | str) -> Ontology:
     before the bytes is dropped, and ``source_digest`` still covers it.
     Unknown stanzas and tags are skipped.
     Obsolete terms are retained with their parent edges dropped.
+    Equal term ids and namespaces share one string object.
     """
     if isinstance(data, bytes):
         digest = hashlib.sha256(data).hexdigest()
@@ -222,7 +311,7 @@ def parse_obo(data: bytes | str) -> Ontology:
     cur_obsolete = False
     is_id = TERM_ID_RE.match
     # one more stanza header ends the last stanza
-    for lineno, raw in enumerate([*text.splitlines(), "["], start=1):
+    for lineno, raw in enumerate(chain(_lines(text), ["["]), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -250,22 +339,22 @@ def parse_obo(data: bytes | str) -> Ontology:
             value = value.strip()
             if not is_id(value):
                 raise ParseError(f"malformed term id {value!r}", lineno)
-            cur_id = value
+            cur_id = intern(value)
         elif read == _IS_A:
             target = value.split("!", 1)[0].strip()
             if not is_id(target):
                 raise ParseError(f"malformed is_a target {value.strip()!r}", lineno)
-            cur_parents.add((target, IS_A))
+            cur_parents.add((intern(target), IS_A))
         elif read == _NAME:
             cur_name = value.strip()
         elif read == _NAMESPACE:
-            cur_ns = value.strip()
+            cur_ns = intern(value.strip())
         elif read == _RELATIONSHIP:
             parts = value.split("!", 1)[0].split()
             if len(parts) == 2 and parts[0] == PART_OF:
                 if not is_id(parts[1]):
                     raise ParseError(f"malformed part_of target {value.strip()!r}", lineno)
-                cur_parents.add((parts[1], PART_OF))
+                cur_parents.add((intern(parts[1]), PART_OF))
         else:
             cur_obsolete = value.strip() == "true"
 

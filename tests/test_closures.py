@@ -54,12 +54,26 @@ def test_closure_bits_decode_to_dfs_ancestors(o):
 
 
 @settings(deadline=None)
+@given(ontologies(), st.data())
+def test_closure_bits_on_demand_in_any_order(o, data):
+    """Bitsets asked for in shuffled order decode to the DFS closures, both
+    while only some terms have been asked for and after all have."""
+    order = data.draw(st.permutations(o.topo_order))
+    some = data.draw(st.integers(1, len(order)))
+    for t in order[:some]:
+        assert decoded(o, t) == o.ancestors(t)
+    assert list(o.closure_bits) == o.topo_order
+    for t in order:
+        assert decoded(o, t) == o.ancestors(t)
+
+
+@settings(deadline=None)
 @given(corpora(), st.integers(1, 4))
 def test_prop_count_and_ic_equal_set_union_reference(corpus, block):
     o, direct = corpus
     namespace = o.terms[o.topo_order[0]].namespace
     # blocks of a few genes, so the count also sums over several blocks
-    with mock.patch.object(annotations, "_COUNT_BLOCK", block):
+    with mock.patch.object(annotations, "_COUNT_BYTES", block * len(o.topo_order)):
         c = build_corpus(direct, o, namespace)
     prop = reference_prop_count(direct, o)
     assert c.prop_count == prop

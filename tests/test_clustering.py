@@ -21,7 +21,7 @@ from gofusion.clustering import (
 from gofusion.errors import ConfigError, ParseError, ValidationError
 from gofusion.expression import DistanceMatrix
 
-from conftest import random_distance_matrix
+from conftest import mirrored, random_distance_matrix
 
 
 def dm_from(points):
@@ -237,6 +237,21 @@ class TestOracle:
                 medoids.append(int(scores.argmax()))
                 np.minimum(nearest, d[:, medoids[-1]], out=nearest)
             assert build_medoids(d, k) == medoids
+
+    def test_same_medoids_with_signed_zeros(self):
+        """-0.0 entries, the diagonal's included: a nearest distance can turn
+        from 0.0 to -0.0, a change of bits but not of value."""
+        rng = np.random.default_rng(2021)
+        for kind in ("quantized", "points"):
+            for _ in range(150):
+                n = int(rng.integers(2, 16))
+                d = oracle_matrix(rng, n, kind)
+                upper = np.triu(rng.random((n, n)) < 0.5) & (d == 0.0)
+                d = mirrored(np.where(upper, -0.0, d)).d
+                assert np.signbit(d).any() or not upper.any()
+                for k in sorted({1, n - 1, n, int(rng.integers(1, n + 1))}):
+                    for seeding in (PAM_BUILD, LITERAL):
+                        assert build_medoids(d, k, seeding) == reference_build(d, k, seeding)
 
     def test_build_holds_one_gains_buffer(self):
         """``pam_build`` reuses one n x n buffer for its gains in every round."""

@@ -1,11 +1,14 @@
 import hashlib
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from gofusion import ontology
 from gofusion.errors import GofusionError, ParseError, UnknownIdError, ValidationError
 from gofusion.ontology import IS_A, PART_OF, Ontology, Term, is_term_id, parse_obo, to_obo_text
 from gofusion.synth import make_dataset, write_dataset
@@ -180,6 +183,63 @@ def test_term_unreachable_from_namespace_root_rejected():
         parse_obo(text)
 
 
+def test_unreachable_terms_in_two_branches_named_in_order():
+    # two stranded branches under the molecular_function root, their ids
+    # interleaved, so the message lists the first five of both, sorted
+    mf = "\n[Term]\nid: GO:0003674\nname: mf root\nnamespace: molecular_function\n"
+    for branch in ((20, 22, 24), (21, 23, 25)):
+        top = "GO:0003674"
+        for tid in branch:
+            mf += f"\n[Term]\nid: GO:{tid:07d}\nname: s\nnamespace: {BP}\nis_a: {top}\n"
+            top = f"GO:{tid:07d}"
+    stranded = "['GO:0000020', 'GO:0000021', 'GO:0000022', 'GO:0000023', 'GO:0000024']"
+    with pytest.raises(ValidationError) as err:
+        parse_obo(FIXTURE_OBO + mf)
+    assert str(err.value) == f"terms cannot reach the {BP} root {ROOT}: {stranded}"
+
+
+def test_closure_bits_keys_are_the_live_terms():
+    o = parse_obo(FIXTURE_OBO + OBSOLETE_TERM)
+    bits = o.closure_bits
+    assert list(bits) == o.topo_order
+    assert len(bits) == len(o.topo_order)
+    for t in ("GO:0000009", "GO:7654321"):  # obsolete, unknown
+        assert t not in bits
+        assert bits.get(t) is None
+        with pytest.raises(KeyError):
+            bits[t]
+    assert "GO:0000003" in bits
+    assert bits.get("GO:0000003") == bits["GO:0000003"]
+    with pytest.raises(TypeError):
+        bits["GO:0000003"] = 0  # read-only
+
+
+def test_lines_in_blocks_equal_splitlines():
+    rng = np.random.default_rng(15)
+    alphabet = list("ab \t\r\n\x0b\x0c\x1c\x85\u2028")
+    for _ in range(300):
+        text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
+        for block in (1, 2, 3, 5, 64):
+            with mock.patch.object(ontology, "_LINE_BLOCK", block):
+                assert list(ontology._lines(text)) == text.splitlines()
+
+
+def test_parse_memory_per_live_term(tmp_path, monkeypatch):
+    """A 21k-term GO-shaped release parses in under 1.5 KB per live term:
+    no closure bitset, child list or list of all lines is held."""
+    godag = perfbench_godag()
+    monkeypatch.setattr(godag, "LEVEL_SIZES", tuple(5 * s for s in godag.LEVEL_SIZES))
+    data = godag.write_godag(1, tmp_path)["obo"].read_bytes()
+    tracemalloc.start()
+    try:
+        o = parse_obo(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(o.topo_order) > 20_000
+    assert peak < 1500 * len(o.topo_order)
+
+
 def test_multiple_roots_in_namespace_rejected():
     text = FIXTURE_OBO + "\n[Term]\nid: GO:0000008\nname: second root\nnamespace: biological_process\n"
     with pytest.raises(ValidationError, match="multiple parentless"):
@@ -328,7 +388,10 @@ def obo_sources():
     yield "fixture", (FIXTURE_OBO + OBSOLETE_TERM).encode()
 
 
-@pytest.mark.parametrize("name, data", list(obo_sources()), ids=lambda v: v if isinstance(v, str) else "")
+OBO_SOURCES = list(obo_sources())
+
+
+@pytest.mark.parametrize("name, data", OBO_SOURCES, ids=lambda v: v if isinstance(v, str) else "")
 def test_parser_equals_reference_on_whole_and_damaged_files(name, data):
     assert parse_outcome(parse_obo, data) == parse_outcome(reference_parse_obo, data)
     text = data.decode()
@@ -341,3 +404,10 @@ def test_parser_equals_reference_on_whole_and_damaged_files(name, data):
             assert got == parse_outcome(reference_parse_obo, form)
             kinds.add(re.sub(r"\d+", "", got[1])[:30] if isinstance(got[0], type) else "ok")
     assert len(kinds) >= 3  # the damage reaches several kinds of error
+
+
+@pytest.mark.parametrize("name, data", OBO_SOURCES, ids=lambda v: v if isinstance(v, str) else "")
+def test_parser_equals_reference_in_small_line_blocks(name, data):
+    # blocks of a few characters: block edges fall next to "\r\n" pairs and inside stanzas
+    with mock.patch.object(ontology, "_LINE_BLOCK", 3):
+        test_parser_equals_reference_on_whole_and_damaged_files(name, data)
