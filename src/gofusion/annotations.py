@@ -7,7 +7,7 @@ content is the natural-log surprisal of the propagated term probability.
 The log base is not configurable: downstream term similarity relies on
 ``exp(-ic(t)) == p(t)``.
 
-Propagation reads the ontology's ancestor bitsets (``Ontology.closure_bits``),
+Propagation reads the ontology's ancestor bitsets (``Ontology.closure``),
 which the ontology computes on request, so only the directly annotated terms
 and their ancestors get one: a gene's mask is the OR of its direct terms'
 bitsets, and the column sums of the masks unpacked into a genes × terms 0/1
@@ -91,7 +91,6 @@ def build_corpus(
     if not direct:
         raise EmptyCorpusError("no annotated genes retained")
     root = o.namespace_root(namespace)
-    bits = o.closure_bits
     masks: list[int] = []
     root_only = 0
     for gene in sorted(direct):
@@ -100,10 +99,7 @@ def build_corpus(
             raise EmptyCorpusError(f"gene {gene!r} has an empty term set")
         mask = 0
         for t in terms:
-            b = bits.get(t)
-            if b is None:
-                o.ancestors(t)  # unknown or obsolete: raises UnknownIdError
-            mask |= b
+            mask |= o.closure(t)  # unknown or obsolete: UnknownIdError
         masks.append(mask)
         if terms == {root}:
             root_only += 1

@@ -22,7 +22,7 @@ import platform
 import resource
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from hashlib import sha256
@@ -299,6 +299,13 @@ def _load_truth(
     return dict(_load_annotations(cfg, "truth", o, inputs).direct)
 
 
+def _require_annotated(what: str, genes: Iterable[str], corpus: AnnotationCorpus) -> None:
+    """DataError unless the corpus annotates every gene of ``genes``."""
+    missing = [g for g in genes if g not in corpus.direct]
+    if missing:
+        raise DataError(f"{len(missing)} {what} genes lack annotations, e.g. {missing[:5]}")
+
+
 def _load_a(
     cfg: PipelineConfig, inputs: dict | None = None
 ) -> tuple[Ontology, AnnotationCorpus, ExpressionMatrix]:
@@ -306,22 +313,20 @@ def _load_a(
     o = parse_obo(_read(cfg, "obo", inputs))
     corpus = _load_annotations(cfg, "annotations", o, inputs)
     expr_a = load_expression(_read(cfg, "expression_a", inputs))
-    missing = [g for g in expr_a.genes if g not in corpus.direct]
-    if missing:
-        raise DataError(
-            f"{len(missing)} expression genes lack annotations, e.g. {missing[:5]}"
-        )
+    _require_annotated("expression", expr_a.genes, corpus)
     return o, corpus, expr_a
 
 
 def _load_partition_inputs(
     cfg: PipelineConfig,
 ) -> tuple[Ontology, AnnotationCorpus, Partition]:
-    """What ``enrich``, ``infer`` and ``eval`` start from."""
+    """What ``enrich``, ``infer`` and ``eval`` start from, every A gene annotated."""
     cfg.require("partition", "obo", "annotations", "out_dir")
     o = parse_obo(_read(cfg, "obo"))
     corpus = _load_annotations(cfg, "annotations", o)
-    return o, corpus, read_partition_tsv(_read(cfg, "partition"))
+    part = read_partition_tsv(_read(cfg, "partition"))
+    _require_annotated("partition A", sorted(part.genes_a()), corpus)
+    return o, corpus, part
 
 
 def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:

@@ -6,14 +6,15 @@ annotated genes (specific terms only, no parent propagation), the one-sided
 hypergeometric tail gives the probability of drawing at least the observed
 number of annotated genes by chance.  Terms passing the threshold are
 transferred to the cluster's unannotated genes as their inferred functions.
+``enrich_partition`` and ``infer_functions`` both test each cluster that
+received B genes, through one loop and against one count of the background.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .annotations import AnnotationCorpus, GeneId
 from .clustering import Cluster, Partition
@@ -148,6 +149,17 @@ class InferredAnnotation:
     enriched: bool  # False flags a cluster with zero passing terms
 
 
+def _enrich_assigned(
+    p: Partition, background: set[GeneId], c: AnnotationCorpus, alpha: float, correction: str
+) -> Iterator[tuple[int, Cluster, list[EnrichmentRecord]]]:
+    """Index, cluster and ``enrich_cluster`` records of each cluster with B
+    genes, all tested against one count of the background."""
+    counts = background_counts(background, c)
+    for i, cl in enumerate(p.clusters):
+        if cl.members_b:
+            yield i, cl, enrich_cluster(cl, background, c, alpha, correction, counts)
+
+
 def infer_functions(
     p: Partition,
     background: set[GeneId],
@@ -162,18 +174,9 @@ def infer_functions(
     no passing term yield empty, flagged records.
     """
     out: list[InferredAnnotation] = []
-    counts = background_counts(background, c)
-    for i, cl in enumerate(p.clusters):
-        if not cl.members_b:
-            continue
-        records = enrich_cluster(cl, background, c, alpha, correction, counts)
+    for i, cl, records in _enrich_assigned(p, background, c, alpha, correction):
         terms = tuple((r.term, r.p_value) for r in records)
-        for g in sorted(cl.members_b):
-            out.append(
-                InferredAnnotation(
-                    gene=g, terms=terms, cluster_index=i, enriched=bool(terms)
-                )
-            )
+        out.extend(InferredAnnotation(g, terms, i, bool(terms)) for g in sorted(cl.members_b))
     return out
 
 
@@ -185,14 +188,11 @@ def enrich_partition(
     correction: str = CORRECTION_NONE,
 ) -> list[tuple[int, EnrichmentRecord]]:
     """(cluster index, record) pairs for every cluster that has B genes."""
-    out: list[tuple[int, EnrichmentRecord]] = []
-    counts = background_counts(background, c)
-    for i, cl in enumerate(p.clusters):
-        if not cl.members_b:
-            continue
-        for r in enrich_cluster(cl, background, c, alpha, correction, counts):
-            out.append((i, r))
-    return out
+    return [
+        (i, r)
+        for i, _cl, records in _enrich_assigned(p, background, c, alpha, correction)
+        for r in records
+    ]
 
 
 # -- serialization ------------------------------------------------------------
@@ -269,7 +269,7 @@ def export_term_graph(
     Styling: inferred-only terms are dashed, terms both inferred and in the
     truth are bold ellipses, truth-only terms carry a thick border; plain
     ancestors provide context.  The closure is the OR of the terms'
-    ``closure_bits``, decoded once.  Nodes and edges are emitted in sorted
+    ``Ontology.closure`` bitsets, decoded once by ``Ontology.terms_of``.  Nodes and edges are emitted in sorted
     order so output is reproducible.
     """
     inferred_terms = {t for rec in inferred for t, _ in rec.terms}
@@ -279,11 +279,8 @@ def export_term_graph(
             truth_terms |= set(ts)
     mask = 0
     for t in sorted(inferred_terms | truth_terms):
-        bits = o.closure_bits.get(t)
-        if bits is None:
-            o.ancestors(t)  # unknown or obsolete: raises UnknownIdError
-        mask |= bits
-    closure = {o.topo_order[j] for j in np.flatnonzero(o.bit_rows([mask])[0]).tolist()}
+        mask |= o.closure(t)  # unknown or obsolete: UnknownIdError
+    closure = set(o.terms_of(mask))
     matching = inferred_terms & truth_terms
     lines = ["digraph term_graph {", "  rankdir=BT;", '  node [shape=box];']
     for t in sorted(closure):

@@ -7,13 +7,14 @@ Ancestry follows both is_a and part_of edges, which is how mainstream GO
 tooling propagates annotations.
 
 Live term ``t`` sits at position ``index[t]`` of ``topo_order``, and
-``closure_bits[t]`` is a Python int whose bit ``j`` is set when
-``topo_order[j]`` is an ancestor of ``t`` (itself included).  A bitset is
-computed the first time it is asked for, after its parents' bitsets, with
-one OR per parent edge, and kept.  All of them would hold about n²/16 bytes
-for n live terms; a run holds only those of the terms it annotates and
-their ancestors.  ``ancestors()`` finds the same sets by a DFS and is the
-scalar oracle the bitsets are tested against.
+``closure(t)`` is a Python int whose bit ``j`` is set when ``topo_order[j]``
+is an ancestor of ``t`` (itself included); ``terms_of`` turns such a mask
+back into terms.  A bitset is computed the first time it is asked for, after
+its parents' bitsets, with one OR per parent edge, and kept.  All of them
+would hold about n²/16 bytes for n live terms; a run holds only those of the
+terms it annotates and their ancestors.  ``ancestors()`` finds the same sets
+by a DFS, keeps nothing, and is the scalar oracle the bitsets are tested
+against.
 
 Memory grows with the release only where it must: child lists exist only
 while the ontology is checked, the OBO text is split into lines a block at
@@ -26,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from itertools import chain
 from sys import intern
 from typing import NamedTuple
@@ -75,80 +76,17 @@ class Term(NamedTuple):
     obsolete: bool = False
 
 
-class _Closures(Mapping):
-    """``Ontology.closure_bits``: a read-only mapping from each live term to
-    its ancestor bitset, computed on first request (parents first) and kept.
-
-    Iteration yields every live term in topological order; an unknown or
-    obsolete term is not a key.
-    """
-
-    def __init__(
-        self, terms: dict[TermId, Term], order: list[TermId], index: dict[TermId, int]
-    ):
-        self._terms = terms
-        self._order = order
-        self._index = index
-        self._bits: dict[TermId, int] = {}
-
-    def __getitem__(self, t: TermId) -> int:
-        hit = self._bits.get(t)
-        if hit is None:
-            if t not in self._index:
-                raise KeyError(t)
-            hit = self._compute(t)
-        return hit
-
-    def get(self, t: TermId, default: int | None = None) -> int | None:
-        # what the callers use: no raised and caught KeyError for a non-key
-        hit = self._bits.get(t)
-        if hit is None:
-            if t not in self._index:
-                return default
-            hit = self._compute(t)
-        return hit
-
-    def _compute(self, t: TermId) -> int:
-        """Compute the missing bitsets of ``t`` and of its ancestors, parents
-        first, and return ``t``'s.  Each stacked term is a parent of the one
-        below it, so in a DAG no term is stacked twice."""
-        terms, done, index = self._terms, self._bits, self._index
-        stack = [t]
-        while stack:
-            cur = stack[-1]
-            bits = 1 << index[cur]
-            for p, _kind in terms[cur].parents:
-                b = done.get(p)
-                if b is None:  # the parent first, then this term again
-                    stack.append(p)
-                    break
-                bits |= b
-            else:
-                done[cur] = bits
-                stack.pop()
-        return done[t]
-
-    def __contains__(self, t: object) -> bool:
-        return t in self._index
-
-    def __iter__(self) -> Iterator[TermId]:
-        return iter(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-
 class Ontology:
     """Immutable DAG of GO terms with parent indices.
 
     Obsolete terms are kept in ``terms`` (so inputs referencing them can be
     diagnosed) but are excluded from ``topo_order`` and from all closure
     queries.  ``topo_order`` lists every non-obsolete term with parents
-    before children; ``index`` and ``closure_bits`` are described in the
-    module docstring.  Child lists are built only to order and check the
-    terms, and are not kept.  ``source_digest`` is the SHA-256 of the parsed
-    bytes and is carried into all pipeline outputs, since results depend on
-    the GO release used.
+    before children; ``index`` and ``closure`` are described in the module
+    docstring.  Child lists are built only to order and check the terms,
+    and are not kept.  ``source_digest`` is the SHA-256 of the parsed bytes
+    and is carried into all pipeline outputs, since results depend on the
+    GO release used.
     """
 
     def __init__(self, terms: dict[TermId, Term], source_digest: str = ""):
@@ -167,11 +105,10 @@ class Ontology:
                 children[parent].append(term.id)
         for kids in children.values():
             kids.sort()
-        self._ancestors: dict[TermId, frozenset[TermId]] = {}
         self.roots = self._find_roots()
         self.topo_order = self._toposort(children)
         self.index = {t: i for i, t in enumerate(self.topo_order)}
-        self.closure_bits: Mapping[TermId, int] = _Closures(terms, self.topo_order, self.index)
+        self._bits: dict[TermId, int] = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -235,11 +172,7 @@ class Ontology:
         return term
 
     def ancestors(self, t: TermId) -> frozenset[TermId]:
-        """Reflexive transitive parent closure of ``t``, found by a DFS the
-        first time it is asked for and kept for later calls."""
-        hit = self._ancestors.get(t)
-        if hit is not None:
-            return hit
+        """Reflexive transitive parent closure of ``t``, found by a DFS."""
         self._live(t)
         seen = {t}
         stack = [t]
@@ -249,12 +182,44 @@ class Ontology:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        hit = self._ancestors[t] = frozenset(seen)
-        return hit
+        return frozenset(seen)
+
+    def closure(self, t: TermId) -> int:
+        """The ancestor bitset of ``t`` (see the module docstring).
+
+        The missing bitsets of ``t`` and of its ancestors are computed
+        parents first and kept.  Each stacked term is a parent of the one
+        below it, so in a DAG no term is stacked twice.
+        """
+        done = self._bits
+        hit = done.get(t)
+        if hit is not None:
+            return hit
+        self._live(t)  # a live term's parents are live
+        terms, index = self.terms, self.index
+        stack = [t]
+        while stack:
+            cur = stack[-1]
+            bits = 1 << index[cur]
+            for p, _kind in terms[cur].parents:
+                b = done.get(p)
+                if b is None:  # the parent first, then this term again
+                    stack.append(p)
+                    break
+                bits |= b
+            else:
+                done[cur] = bits
+                stack.pop()
+        return done[t]
+
+    def terms_of(self, mask: int) -> list[TermId]:
+        """The terms whose bits are set in ``mask``, in ``topo_order``."""
+        order = self.topo_order
+        return [order[j] for j in np.flatnonzero(self.bit_rows([mask])[0]).tolist()]
 
     def bit_rows(self, masks: list[int]) -> np.ndarray:
         """0/1 uint8 rows, one per mask over ``topo_order`` positions (such
-        as ``closure_bits`` values or ORs of them): column ``j`` is bit ``j``."""
+        as ``closure`` values or ORs of them): column ``j`` is bit ``j``."""
         width = len(self.topo_order)
         nbytes = (width + 7) // 8
         packed = np.frombuffer(

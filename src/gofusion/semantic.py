@@ -118,15 +118,11 @@ def _ancestor_columns(
     The bitsets are decoded ``_DECODE`` terms at a time, so the decode holds
     one byte per live ontology term for those terms only, not for all of them.
     """
-    bits = [o.closure_bits[t] for t in terms]
+    bits = [o.closure(t) for t in terms]
     union = 0
     for b in bits:
         union |= b
-    has_ic = o.bit_rows([union])[0].view(bool) & np.array([t in c.ic for t in o.topo_order])
-    cols = sorted(
-        (o.topo_order[j] for j in np.flatnonzero(has_ic).tolist()),
-        key=lambda t: (-c.ic[t], t),
-    )
+    cols = sorted((t for t in o.terms_of(union) if t in c.ic), key=lambda t: (-c.ic[t], t))
     where = np.array([o.index[t] for t in cols], dtype=np.intp)
     flat, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, len(terms), _DECODE):

@@ -558,6 +558,29 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert "line 1" in res.stderr
 
+    @pytest.mark.parametrize("with_b", [True, False], ids=["cluster-with-b", "cluster-without-b"])
+    @pytest.mark.parametrize("command", ["enrich", "infer", "eval"])
+    def test_unannotated_partition_a_gene_is_data_error(
+        self, data_dir, run_dir, tmp_path, capsys, command, with_b
+    ):
+        rows = [ln.split("\t") for ln in (run_dir / "partition.tsv").read_text().splitlines()[1:]]
+        has_b = {r[1] for r in rows if r[2] == "B"}
+        gene = min(r[0] for r in rows if r[2] == "A" and (r[1] in has_b) == with_b)
+        annotations = tmp_path / "annotations.tsv"
+        kept = [ln for ln in (data_dir / "annotations.tsv").read_text().splitlines()
+                if ln.split("\t")[0] != gene]
+        annotations.write_text("\n".join(kept) + "\n")
+        rc = main([
+            command,
+            "--obo", str(data_dir / "go.obo"),
+            "--annotations", str(annotations),
+            "--partition", str(run_dir / "partition.tsv"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"1 partition A genes lack annotations, e.g. ['{gene}']" in err
+
     @pytest.mark.parametrize(
         "command, flag, bad",
         [

@@ -19,7 +19,7 @@ from test_roundtrip import ontologies  # noqa: E402
 
 
 def decoded(o, t):
-    bits = o.closure_bits[t]
+    bits = o.closure(t)
     return {u for j, u in enumerate(o.topo_order) if bits >> j & 1}
 
 
@@ -47,7 +47,6 @@ def corpora(draw):
 @settings(deadline=None)
 @given(ontologies())
 def test_closure_bits_decode_to_dfs_ancestors(o):
-    assert list(o.closure_bits) == o.topo_order
     assert o.index == {t: i for i, t in enumerate(o.topo_order)}
     for t in o.topo_order:
         assert decoded(o, t) == o.ancestors(t)
@@ -62,9 +61,15 @@ def test_closure_bits_on_demand_in_any_order(o, data):
     some = data.draw(st.integers(1, len(order)))
     for t in order[:some]:
         assert decoded(o, t) == o.ancestors(t)
-    assert list(o.closure_bits) == o.topo_order
     for t in order:
         assert decoded(o, t) == o.ancestors(t)
+
+
+@settings(deadline=None)
+@given(ontologies())
+def test_terms_of_closure_is_ancestors_in_topo_order(o):
+    for t in o.topo_order:
+        assert o.terms_of(o.closure(t)) == [u for u in o.topo_order if u in o.ancestors(t)]
 
 
 @settings(deadline=None)

@@ -65,12 +65,10 @@ def test_ancestor_descendant_inverse(fixture_ontology):
             assert (u in o.ancestors(t)) == (t in descendants(u))
 
 
-def test_ancestors_kept_after_first_call():
+def test_ancestors_raise_for_dead_ids():
     o = parse_obo(FIXTURE_OBO + OBSOLETE_TERM)
-    first = o.ancestors("GO:0000003")
-    assert isinstance(first, frozenset)
-    assert o.ancestors("GO:0000003") is first
-    for _ in range(2):  # an unknown or obsolete term is never kept
+    assert isinstance(o.ancestors("GO:0000003"), frozenset)
+    for _ in range(2):
         with pytest.raises(UnknownIdError):
             o.ancestors("GO:0000009")
         with pytest.raises(UnknownIdError):
@@ -198,20 +196,16 @@ def test_unreachable_terms_in_two_branches_named_in_order():
     assert str(err.value) == f"terms cannot reach the {BP} root {ROOT}: {stranded}"
 
 
-def test_closure_bits_keys_are_the_live_terms():
+def test_closure_raises_for_dead_ids_and_keeps_nothing():
     o = parse_obo(FIXTURE_OBO + OBSOLETE_TERM)
-    bits = o.closure_bits
-    assert list(bits) == o.topo_order
-    assert len(bits) == len(o.topo_order)
-    for t in ("GO:0000009", "GO:7654321"):  # obsolete, unknown
-        assert t not in bits
-        assert bits.get(t) is None
-        with pytest.raises(KeyError):
-            bits[t]
-    assert "GO:0000003" in bits
-    assert bits.get("GO:0000003") == bits["GO:0000003"]
-    with pytest.raises(TypeError):
-        bits["GO:0000003"] = 0  # read-only
+    for _ in range(2):
+        with pytest.raises(UnknownIdError, match="^term GO:0000009 is obsolete$"):
+            o.closure("GO:0000009")
+        with pytest.raises(UnknownIdError, match="^unknown term 'GO:7654321'$"):
+            o.closure("GO:7654321")
+    assert o._bits == {}
+    assert o.closure("GO:0000003") == sum(1 << o.index[t] for t in o.ancestors("GO:0000003"))
+    assert o._bits.keys() == o.ancestors("GO:0000003")
 
 
 def test_lines_in_blocks_equal_splitlines():
