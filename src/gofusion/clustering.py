@@ -101,8 +101,11 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
     column sum whose terms are all >= 0 leaves the sum as it was, so the
     medoid rows need not be left out.  A row's gains depend only on its own
     nearest distance, so after each added medoid only the rows whose nearest
-    distance changed, bit for bit, are recomputed.  ``literal`` terms can be
-    negative, so its medoid rows are set to zero before the sum.
+    distance fell, found by one ``col < nearest`` before the in-place
+    minimum, are recomputed.  A nearest distance that only turns from 0.0 to
+    -0.0 keeps its row, whose gains ``max(nearest - d, 0.0)`` are 0.0 for
+    either zero.  ``literal`` terms can be negative, so its medoid rows are
+    set to zero before the sum.
     """
     n = d.shape[0]
     if seeding not in SEEDINGS:
@@ -123,7 +126,7 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
                 block = d[rows]
                 np.subtract(nearest[rows, None], block, out=block)
                 gains[rows] = np.maximum(block, 0.0, out=block)
-            scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
+            scores = np.add.reduce(gains, axis=0) - np.maximum(nearest, 0.0)
         else:
             diff = d - nearest[:, None]
             diff[in_gamma, :] = 0.0
@@ -132,9 +135,9 @@ def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
         x = int(scores.argmax())
         medoids.append(x)
         in_gamma[x] = True
-        was = nearest.copy()
-        np.minimum(nearest, d[:, x], out=nearest)
-        changed = np.flatnonzero(nearest.view(np.uint64) != was.view(np.uint64))
+        col = d[:, x]
+        changed = (col < nearest).nonzero()[0]
+        np.minimum(nearest, col, out=nearest)
     return medoids
 
 
@@ -161,6 +164,14 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
     skipped until the next accepted swap: its scan depends only on the
     medoid set, so a repeat would find none again.  The accepted swaps
     are identical to evaluating every pair from scratch.
+
+    A scan reduces the candidates' costs into one preallocated array and
+    looks for the improving slots only when the smallest cost is below the
+    current one; in gamma tuning most scans find none.  With k = n there is
+    no candidate, and the medoids come back sorted.  Here and in the build,
+    reductions call the ufuncs and ``nonzero`` directly: the Python wrappers
+    of ``sum``, ``min`` and ``flatnonzero`` cost as much as the work at
+    tuning's size.
     """
     n = d.shape[0]
     meds = sorted(medoids)
@@ -169,17 +180,20 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
     in_gamma = np.zeros(n, dtype=bool)
     in_gamma[meds] = True
     cand = np.flatnonzero(~in_gamma)
+    if not cand.size:  # k = n: nothing to swap in
+        return meds
     cand_cols = d[:, cand]
     buf = np.empty_like(cand_cols)
+    sums = np.empty(cand.size)
     rows = np.arange(n)
 
     def tables():
         near_slot = med_cols.argmin(axis=1)
         nearest = med_cols[rows, near_slot]
         med_cols[rows, near_slot] = np.inf
-        second = med_cols.min(axis=1)  # inf when k = 1
+        second = np.minimum.reduce(med_cols, axis=1)  # inf when k = 1
         med_cols[rows, near_slot] = nearest
-        return nearest, second, float(nearest.sum())
+        return nearest, second, float(np.add.reduce(nearest))
 
     nearest, second, current = tables()
     settled: set[int] = set()  # medoids with no improving candidate
@@ -192,10 +206,11 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
             slot = slot_of[m]
             rest_min = np.where(med_cols[:, slot] == nearest, second, nearest)
             np.minimum(rest_min[:, None], cand_cols, out=buf)
-            better = np.flatnonzero(np.add.reduce(buf, axis=0) < current)
-            if not better.size:
+            np.add.reduce(buf, axis=0, out=sums)
+            if np.minimum.reduce(sums) >= current:
                 settled.add(m)
                 continue
+            better = (sums < current).nonzero()[0]
             s = better[cand[better].argmin()]
             x = int(cand[s])
             del slot_of[m]
@@ -219,8 +234,6 @@ def cluster_a(
     function of the input matrix.
     """
     d = d_gamma.d
-    if np.isnan(d).any():
-        raise ValidationError("distance matrix contains NaN")
     medoids = build_medoids(d, k, seeding)
     medoids = swap_refine(d, medoids)
     return _partition_from_medoids(d_gamma, medoids)

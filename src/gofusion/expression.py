@@ -166,19 +166,31 @@ class PreparedRows:
         else:
             raise ValidationError(f"unknown expression metric {metric!r}")
 
-    def raw_distances(self, i: int, block: "PreparedRows", start: int = 0) -> np.ndarray:
+    def raw_distances(self, i: int | slice, block: "PreparedRows", start: int = 0) -> np.ndarray:
         """Raw distances from row ``i`` to each row of ``block`` from ``start`` on:
         Euclidean, or Pearson's (1 - r) / 2 with r = 0 where either row is flat.
 
-        ``block`` must be prepared for the same metric.  The Pearson
-        numerators are one matrix-vector product over exactly those rows.
+        ``i`` may also be a slice of rows, which gives one row of distances
+        per sliced row, each with the bits of its own single-row call.  A
+        Euclidean distance sums its squares down the row's last axis either
+        way.  The Pearson numerators are one matrix-vector product per row
+        over exactly ``block``'s rows: one matrix product over a slice can
+        round its last bits differently.  ``block`` must be prepared for the
+        same metric.
         """
         rows, x = block.rows[start:], self.rows[i]
         if self.norms is None:
-            diff = rows - x
-            return np.sqrt((diff * diff).sum(axis=1))
-        denom = block.norms[start:] * self.norms[i]
-        r = np.divide(rows @ x, denom, out=np.zeros(len(rows)), where=denom > 0.0)
+            diff = rows - x[..., None, :]
+            np.multiply(diff, diff, out=diff)
+            return np.sqrt(diff.sum(axis=-1))
+        if x.ndim == 1:
+            num = rows @ x
+        else:
+            num = np.empty((len(x), len(rows)))
+            for j, v in enumerate(x):
+                np.matmul(rows, v, out=num[j])
+        denom = block.norms[start:] * self.norms[i][..., None]
+        r = np.divide(num, denom, out=np.zeros(denom.shape), where=denom > 0.0)
         np.clip(r, -1.0, 1.0, out=r)
         return (1.0 - r) / 2.0
 

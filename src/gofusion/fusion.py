@@ -32,6 +32,8 @@ from .metrics import semantic_compactness
 
 # rows of d_e weighted and added per numpy pass of the blend
 _BLEND_ROWS = 128
+# held-out genes scored against all centroids per ``raw_distances`` call
+_HELD_ROWS = 16
 
 
 def combine_gamma(d_e: DistanceMatrix, d_go: DistanceMatrix, gamma: float) -> DistanceMatrix:
@@ -162,22 +164,36 @@ def _centroid_assign(
     """Attach held-out genes to the cluster with the nearest expression
     centroid (arithmetic mean of member vectors), ties to the lowest index.
 
-    Each held-out gene's raw distances to all centroids come from one
-    ``PreparedRows.raw_distances`` call, the formula the expression matrix
-    uses; Euclidean distances are not normalized here.  A flat Pearson
-    centroid sits at 0.5 from every gene.
+    All centroids come from one ``np.add.at`` over the members' rows in
+    ascending row order, divided by the member counts: the bits of each
+    cluster's ``values[rows].mean(axis=0)``, which also starts from 0.0 and
+    adds its rows one after another.  The held-out genes' raw distances to
+    all centroids come from ``PreparedRows.raw_distances``, the formula the
+    expression matrix uses, ``_HELD_ROWS`` genes per call; Euclidean
+    distances are not normalized here.  A flat Pearson centroid sits at 0.5
+    from every gene.
 
     This is deliberately centroid-based, unlike the medoid-based B
     assignment used for the final partition; both paths exist on purpose.
     """
     idx = {g: i for i, g in enumerate(expr.genes)}
-    members = [sorted(idx[g] for g in cl.members_a) for cl in part.clusters]
-    means = [expr.values[rows].mean(axis=0) for rows in members]
-    centroids = PreparedRows(np.vstack(means), metric)
+    cluster_of = np.full(len(expr.genes), -1)
+    for ci, cl in enumerate(part.clusters):
+        cluster_of[[idx[g] for g in cl.members_a]] = ci
+    kept = np.flatnonzero(cluster_of >= 0)  # ascending row order
+    labels = cluster_of[kept]
+    means = np.zeros((len(part.clusters), expr.values.shape[1]))
+    np.add.at(means, labels, expr.values[kept])
+    means /= np.bincount(labels, minlength=len(part.clusters))[:, None]
+    centroids = PreparedRows(means, metric)
     held = PreparedRows(expr.values[[idx[g] for g in held_out]], metric)
+    nearest = np.concatenate([
+        held.raw_distances(slice(lo, lo + _HELD_ROWS), centroids).argmin(axis=1)
+        for lo in range(0, len(held_out), _HELD_ROWS)
+    ])
     assigned: list[set[str]] = [set() for _ in part.clusters]
-    for j, g in enumerate(held_out):
-        assigned[int(held.raw_distances(j, centroids).argmin())].add(g)
+    for g, ci in zip(held_out, nearest.tolist()):
+        assigned[ci].add(g)
     clusters = tuple(
         Cluster(cl.medoid, cl.members_a, frozenset(assigned[i]))
         for i, cl in enumerate(part.clusters)

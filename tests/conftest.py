@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gofusion.annotations import build_corpus
+from gofusion.clustering import PAM_BUILD, Cluster, Partition, initial_medoid
 from gofusion.expression import DistanceMatrix, write_distance_tsv
 from gofusion.ontology import parse_obo
 
@@ -113,3 +114,90 @@ def perfbench_godag():
     finally:
         sys.path.pop(0)
     return godag
+
+
+def reference_build(d, k, seeding):
+    """Greedy build that recomputes every table from scratch each round."""
+    n = d.shape[0]
+    medoids = [initial_medoid(d)]
+    while len(medoids) < k:
+        nearest = d[:, medoids].min(axis=1)
+        in_gamma = np.zeros(n, dtype=bool)
+        in_gamma[medoids] = True
+        if seeding == PAM_BUILD:
+            gains = np.maximum(nearest[:, None] - d, 0.0)
+            gains[in_gamma, :] = 0.0
+            scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
+        else:
+            diff = d - nearest[:, None]
+            diff[in_gamma, :] = 0.0
+            scores = diff.sum(axis=0) + nearest
+        scores[in_gamma] = -np.inf
+        medoids.append(int(scores.argmax()))
+    return medoids
+
+
+def reference_swap(d, medoids):
+    """First-improvement swap passes, every table rebuilt after each swap."""
+    n = d.shape[0]
+    med_set = set(medoids)
+
+    def tables():
+        meds = sorted(med_set)
+        sub = d[:, meds]
+        nearest = sub.min(axis=1)
+        second = np.partition(sub, 1, axis=1)[:, 1] if len(meds) > 1 else np.full(n, np.inf)
+        mask = np.zeros(n, dtype=bool)
+        mask[meds] = True
+        return nearest, second, np.nonzero(~mask)[0]
+
+    changed = True
+    while changed:
+        changed = False
+        nearest, second, cand = tables()
+        current = float(nearest.sum())
+        for m in sorted(med_set):
+            rest_min = np.where(d[:, m] == nearest, second, nearest)
+            costs = np.minimum(rest_min[:, None], d[:, cand]).sum(axis=0)
+            better = np.nonzero(costs < current)[0]
+            if better.size:
+                med_set.remove(m)
+                med_set.add(int(cand[better[0]]))
+                changed = True
+                nearest, second, cand = tables()
+                current = float(nearest.sum())
+    return sorted(med_set)
+
+
+def reference_raw_distances(x: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
+    """Raw distances from the expression row ``x`` to each of ``rows``, one
+    row at a time: Euclidean, or Pearson's (1 - r) / 2 with r = 0 where
+    either row is flat."""
+    if metric == "euclidean":
+        diff = rows - x
+        return np.sqrt((diff * diff).sum(axis=1))
+    rows = rows - rows.mean(axis=1, keepdims=True)
+    x = x - x.mean()
+    denom = np.sqrt((rows * rows).sum(axis=1)) * np.sqrt((x * x).sum())
+    r = np.divide(rows @ x, denom, out=np.zeros(len(rows)), where=denom > 0.0)
+    np.clip(r, -1.0, 1.0, out=r)
+    return (1.0 - r) / 2.0
+
+
+def reference_centroid_assign(expr, part: Partition, held_out, metric: str) -> Partition:
+    """Gamma tuning's nearest-centroid step, one cluster mean and one
+    held-out gene at a time: each centroid is ``mean(axis=0)`` over its
+    members' rows in ascending row order, ties go to the lowest cluster."""
+    idx = {g: i for i, g in enumerate(expr.genes)}
+    means = np.vstack([
+        expr.values[sorted(idx[g] for g in cl.members_a)].mean(axis=0) for cl in part.clusters
+    ])
+    assigned: list[set[str]] = [set() for _ in part.clusters]
+    for g in held_out:
+        dist = reference_raw_distances(expr.values[idx[g]], means, metric)
+        assigned[int(dist.argmin())].add(g)
+    clusters = tuple(
+        Cluster(cl.medoid, cl.members_a, frozenset(assigned[i]))
+        for i, cl in enumerate(part.clusters)
+    )
+    return Partition(clusters, part.k, part.total_cost)

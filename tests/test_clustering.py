@@ -21,7 +21,7 @@ from gofusion.clustering import (
 from gofusion.errors import ConfigError, ParseError, ValidationError
 from gofusion.expression import DistanceMatrix
 
-from conftest import mirrored, random_distance_matrix
+from conftest import mirrored, random_distance_matrix, reference_build, reference_swap
 
 
 def dm_from(points):
@@ -124,59 +124,6 @@ class TestSwap:
         assert p1 == p2
 
 
-def reference_build(d, k, seeding):
-    """Greedy build that recomputes every table from scratch each round."""
-    n = d.shape[0]
-    medoids = [initial_medoid(d)]
-    while len(medoids) < k:
-        nearest = d[:, medoids].min(axis=1)
-        in_gamma = np.zeros(n, dtype=bool)
-        in_gamma[medoids] = True
-        if seeding == PAM_BUILD:
-            gains = np.maximum(nearest[:, None] - d, 0.0)
-            gains[in_gamma, :] = 0.0
-            scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
-        else:
-            diff = d - nearest[:, None]
-            diff[in_gamma, :] = 0.0
-            scores = diff.sum(axis=0) + nearest
-        scores[in_gamma] = -np.inf
-        medoids.append(int(scores.argmax()))
-    return medoids
-
-
-def reference_swap(d, medoids):
-    """First-improvement swap passes, every table rebuilt after each swap."""
-    n = d.shape[0]
-    med_set = set(medoids)
-
-    def tables():
-        meds = sorted(med_set)
-        sub = d[:, meds]
-        nearest = sub.min(axis=1)
-        second = np.partition(sub, 1, axis=1)[:, 1] if len(meds) > 1 else np.full(n, np.inf)
-        mask = np.zeros(n, dtype=bool)
-        mask[meds] = True
-        return nearest, second, np.nonzero(~mask)[0]
-
-    changed = True
-    while changed:
-        changed = False
-        nearest, second, cand = tables()
-        current = float(nearest.sum())
-        for m in sorted(med_set):
-            rest_min = np.where(d[:, m] == nearest, second, nearest)
-            costs = np.minimum(rest_min[:, None], d[:, cand]).sum(axis=0)
-            better = np.nonzero(costs < current)[0]
-            if better.size:
-                med_set.remove(m)
-                med_set.add(int(cand[better[0]]))
-                changed = True
-                nearest, second, cand = tables()
-                current = float(nearest.sum())
-    return sorted(med_set)
-
-
 def oracle_matrix(rng, n, kind):
     """Symmetric zero-diagonal [0, 1] matrix: uniform, quantized to a few
     levels (many ties), or from points with duplicates (zero off-diagonal)."""
@@ -195,7 +142,7 @@ def oracle_matrix(rng, n, kind):
 
 class TestOracle:
     """The incremental build and swap return exactly what the from-scratch
-    versions above return."""
+    versions in conftest return."""
 
     def test_same_medoids_as_reference(self):
         rng = np.random.default_rng(2019)
@@ -240,7 +187,8 @@ class TestOracle:
 
     def test_same_medoids_with_signed_zeros(self):
         """-0.0 entries, the diagonal's included: a nearest distance can turn
-        from 0.0 to -0.0, a change of bits but not of value."""
+        from 0.0 to -0.0, a change of bits but not of value, and the build
+        does not recompute that row's gains."""
         rng = np.random.default_rng(2021)
         for kind in ("quantized", "points"):
             for _ in range(150):
@@ -251,7 +199,9 @@ class TestOracle:
                 assert np.signbit(d).any() or not upper.any()
                 for k in sorted({1, n - 1, n, int(rng.integers(1, n + 1))}):
                     for seeding in (PAM_BUILD, LITERAL):
-                        assert build_medoids(d, k, seeding) == reference_build(d, k, seeding)
+                        built = build_medoids(d, k, seeding)
+                        assert built == reference_build(d, k, seeding)
+                        assert swap_refine(d, built) == reference_swap(d, built)
 
     def test_build_holds_one_gains_buffer(self):
         """``pam_build`` reuses one n x n buffer for its gains in every round."""

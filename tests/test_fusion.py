@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gofusion import fusion
+from gofusion import clustering, fusion
 from gofusion.clustering import Cluster, Partition
 from gofusion.errors import AlignmentError, ConfigError
 from gofusion.expression import DistanceMatrix, ExpressionMatrix, expression_distance_matrix
@@ -19,7 +19,13 @@ from gofusion.fusion import (
 from gofusion.semantic import semantic_distance_matrix
 from gofusion.synth import make_dataset
 
-from conftest import mirrored, random_distance_matrix
+from conftest import (
+    mirrored,
+    random_distance_matrix,
+    reference_build,
+    reference_centroid_assign,
+    reference_swap,
+)
 
 
 def _unique_ranks(v):
@@ -256,11 +262,38 @@ class TestTuneGamma:
         assert len(csv_text.splitlines()) == len(report.grid) + 1
 
 
-def test_best_gamma_tie_breaks_to_smallest():
-    # direct check of the argmin tie rule on a constructed curve
-    curve = (0.4, 0.2, 0.2, 0.3)
-    grid = (0.0, 0.25, 0.5, 0.75)
-    assert grid[int(np.argmin(curve))] == 0.25
+def test_best_gamma_tie_breaks_to_smallest(monkeypatch):
+    """On a flat compactness curve, ``tune_gamma`` picks the smallest gamma."""
+    monkeypatch.setattr(fusion, "semantic_compactness", lambda part, d_go: 0.25)
+    ds = make_dataset(seed=42, subgroups_per_family=4, genes_per_subgroup=6)
+    report = tune_gamma(*tuning_inputs(ds, ds.corpus_a()), k=3, grid_step=0.25, runs=2, seed=1)
+    assert report.sc_curve == (0.25,) * 5
+    assert report.best_gamma == 0.0
+
+
+@pytest.fixture(scope="module", params=[1, 2, 5], ids=lambda seed: f"synth{seed}")
+def synth_tuning(request):
+    """A default-sized synth dataset's A expression and semantic distances."""
+    ds = make_dataset(seed=request.param)
+    expr = ds.expression_a()
+    return expr, semantic_distance_matrix(ds.ontology, ds.corpus_a(), expr.genes)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "pearson"])
+def test_sc_runs_same_bits_as_reference(synth_tuning, metric, monkeypatch):
+    """Tuning cells at the benchmark's size (90 kept genes, k = 50) score the
+    bits they score with the per-gene centroid step and the from-scratch
+    build and swap; no benchmark workload tunes on Pearson distances."""
+    expr, d_go = synth_tuning
+    args = (expr, expression_distance_matrix(expr, metric), d_go)
+    kwargs = dict(k=50, grid_step=0.25, runs=4, seed=7, metric=metric)
+    got = tune_gamma(*args, **kwargs)
+    monkeypatch.setattr(fusion, "_centroid_assign", reference_centroid_assign)
+    monkeypatch.setattr(clustering, "build_medoids", reference_build)
+    monkeypatch.setattr(clustering, "swap_refine", reference_swap)
+    want = tune_gamma(*args, **kwargs)
+    assert np.array(got.sc_runs).tobytes() == np.array(want.sc_runs).tobytes()
+    assert got == want
 
 
 class TestCentroidAssign:
