@@ -146,16 +146,16 @@ def load_annotations(
     direct: dict[GeneId, set[TermId]] = {}
     seen_genes: set[GeneId] = set()
     total = kept = wrong_ns = excluded = unknown = dup = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
+    terms = o.terms
+    for lineno, line in enumerate(text.splitlines(), start=1):  # no line keeps a "\r"
+        if not line or line.isspace():
             continue
         fields = line.split("\t")
         if lineno == 1 and fields[0] == "gene_id":
             continue
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated columns, got {len(fields)}", lineno)
-        gene, term, evidence, ns = (f.strip() for f in fields)
+        gene, term, evidence, ns = map(str.strip, fields)
         if not gene:
             raise ParseError("empty gene_id", lineno)
         total += 1
@@ -166,7 +166,7 @@ def load_annotations(
         if evidence in excluded_evidence:
             excluded += 1
             continue
-        t = o.terms.get(term)
+        t = terms.get(term)
         if t is None or t.obsolete or t.namespace != namespace:
             unknown += 1
             continue

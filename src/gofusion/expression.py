@@ -106,23 +106,23 @@ def load_expression(data: bytes | str) -> ExpressionMatrix:
     """Parse a ``gene_id TAB cond1 TAB ...`` TSV with one gene per row.
 
     Missing or non-numeric cells, ragged rows and duplicate gene ids are
-    rejected with the offending line number; genes with missing values must
-    be dropped by the caller before writing the file.  A UTF-8 byte-order
-    mark before ``data`` bytes is dropped.
+    rejected with the offending line of the file, blank lines counted;
+    genes with missing values must be dropped by the caller before writing
+    the file.  A UTF-8 byte-order mark before ``data`` bytes is dropped.
     """
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    lines = [ln.rstrip("\r") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ParseError("empty expression file", 1)
-    header = lines[0].split("\t")
+    head_no, head = lines[0]
+    header = head.split("\t")
     if len(header) < 2:
-        raise ParseError("header must name at least one condition", 1)
+        raise ParseError("header must name at least one condition", head_no)
     conditions = tuple(h.strip() for h in header[1:])
     genes: list[GeneId] = []
     rows: list[list[float]] = []
     seen: set[GeneId] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != len(header):
             raise ParseError(
@@ -146,7 +146,7 @@ def load_expression(data: bytes | str) -> ExpressionMatrix:
         genes.append(gene)
         rows.append(row)
     if not genes:
-        raise ParseError("no gene rows in expression file", 2)
+        raise ParseError("no gene rows in expression file", head_no + 1)
     return ExpressionMatrix(tuple(genes), conditions, np.array(rows, dtype=float))
 
 
@@ -262,24 +262,46 @@ def write_distance_tsv(dm: DistanceMatrix, f: TextIO) -> None:
 
 
 def read_distance_tsv(text: str) -> DistanceMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read the square TSV that ``write_distance_tsv`` writes; blank lines
+    are skipped, and an error names the line of the file.
+
+    A first pass checks the row count, each row's column count and each
+    row's gene against the header's.  numpy's C text reader then parses the
+    cells.  If it rejects one, the rows go through ``float()`` one by one
+    instead: it accepts a little more (``0.1_5``), and it finds the line of
+    a cell that is not a number.  Where numpy accepts a cell, ``float()``
+    gives the same bits.
+    """
+    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not numbered:
         raise ParseError("empty distance matrix file", 1)
-    genes = tuple(lines[0].rstrip("\r").split("\t")[1:])
+    genes = tuple(numbered[0][1].split("\t")[1:])
     n = len(genes)
-    d = np.zeros((n, n))
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} data rows, got {len(lines) - 1}", len(lines))
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.rstrip("\r").split("\t")
-        if len(fields) != n + 1:
-            raise ParseError(f"expected {n + 1} columns, got {len(fields)}", i)
-        if fields[0] != genes[i - 2]:
-            raise ParseError(f"row gene {fields[0]!r} != column gene {genes[i - 2]!r}", i)
+    rows = numbered[1:]
+    if len(rows) != n:
+        raise ParseError(f"expected {n} data rows, got {len(rows)}", numbered[-1][0])
+    cells = []
+    for (no, line), gene in zip(rows, genes):
+        width = line.count("\t") + 1
+        if width != n + 1:
+            raise ParseError(f"expected {n + 1} columns, got {width}", no)
+        row_gene, _tab, rest = line.partition("\t")
+        if row_gene != gene:
+            raise ParseError(f"row gene {row_gene!r} != column gene {gene!r}", no)
+        cells.append(rest)
+    d = None
+    if n and all(cells):  # numpy would skip a row of "", which float() rejects
         try:
-            d[i - 2] = [float(x) for x in fields[1:]]
+            d = np.loadtxt(cells, delimiter="\t", comments=None, ndmin=2)
         except ValueError:
-            raise ParseError("non-numeric distance cell", i) from None
+            pass  # the float() loop below reads the cell or names its line
+    if d is None:
+        d = np.zeros((n, n))
+        for i, ((no, _line), rest) in enumerate(zip(rows, cells)):
+            try:
+                d[i] = [float(x) for x in rest.split("\t")]
+            except ValueError:
+                raise ParseError("non-numeric distance cell", no) from None
     d = np.minimum(d, d.T)  # %.10g round-trip can break exact symmetry
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(genes, d)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import deque
 from collections.abc import Iterator
 from itertools import chain
+from operator import length_hint
 from sys import intern
 from typing import NamedTuple
 
@@ -83,82 +83,88 @@ class Ontology:
     diagnosed) but are excluded from ``topo_order`` and from all closure
     queries.  ``topo_order`` lists every non-obsolete term with parents
     before children; ``index`` and ``closure`` are described in the module
-    docstring.  Child lists are built only to order and check the terms,
-    and are not kept.  ``source_digest`` is the SHA-256 of the parsed bytes
-    and is carried into all pipeline outputs, since results depend on the
-    GO release used.
+    docstring.  Child lists are built, for the parents only, to check the
+    parent references and to order the terms, and are not kept.
+    ``source_digest`` is the SHA-256 of the parsed bytes and is carried into
+    all pipeline outputs, since results depend on the GO release used.
     """
 
     def __init__(self, terms: dict[TermId, Term], source_digest: str = ""):
         self.terms = terms
         self.source_digest = source_digest
-        children: dict[TermId, list[TermId]] = {t: [] for t in terms}
-        for term in terms.values():
-            if term.obsolete:
+        children: dict[TermId, list[TermId]] = {}
+        indeg: dict[TermId, int] = {}
+        parentless: dict[str, list[TermId]] = {}
+        dead: list[TermId] = []
+        for tid, _name, ns, parents, obsolete in terms.values():
+            if obsolete:
+                dead.append(tid)
                 continue
-            for parent, _kind in term.parents:
-                if terms[parent].obsolete:
-                    dead = sorted(p for p, _ in term.parents if terms[p].obsolete)
-                    raise ValidationError(
-                        f"term {term.id} has obsolete parent(s): {', '.join(dead)}"
-                    )
-                children[parent].append(term.id)
-        for kids in children.values():
-            kids.sort()
-        self.roots = self._find_roots()
-        self.topo_order = self._toposort(children)
-        self.index = {t: i for i, t in enumerate(self.topo_order)}
-        self._bits: dict[TermId, int] = {}
-
-    # -- construction checks -------------------------------------------------
-
-    def _live_terms(self):
-        return (t for t in self.terms.values() if not t.obsolete)
-
-    def _find_roots(self) -> dict[str, TermId]:
-        roots: dict[str, list[TermId]] = {}
-        for term in self._live_terms():
-            if not term.parents:
-                roots.setdefault(term.namespace, []).append(term.id)
-        out: dict[str, TermId] = {}
-        for ns, ids in roots.items():
+            indeg[tid] = len(parents)
+            if not parents:
+                parentless.setdefault(ns, []).append(tid)
+            for parent, _kind in parents:
+                kids = children.get(parent)
+                if kids is None:
+                    children[parent] = [tid]
+                else:
+                    kids.append(tid)
+        dangling = sorted(p for p in children if p not in terms)
+        if dangling:
+            raise ValidationError(f"parent references to unknown terms: {dangling}")
+        if not children.keys().isdisjoint(dead):
+            dead_set = set(dead)
+            for tid, _name, _ns, parents, obsolete in terms.values():
+                bad = [] if obsolete else sorted(p for p, _ in parents if p in dead_set)
+                if bad:
+                    raise ValidationError(f"term {tid} has obsolete parent(s): {', '.join(bad)}")
+        for ns, ids in parentless.items():
             if len(ids) > 1:
                 raise ValidationError(
                     f"namespace {ns} has multiple parentless terms: {sorted(ids)}"
                 )
-            out[ns] = ids[0]
-        return out
+        self.roots = {ns: ids[0] for ns, ids in parentless.items()}
+        self.topo_order = self._toposort(children, indeg)
+        self.index = dict(zip(self.topo_order, range(len(self.topo_order))))
+        self._bits: dict[TermId, int] = {}
 
-    def _toposort(self, children: dict[TermId, list[TermId]]) -> list[TermId]:
+    # -- construction checks -------------------------------------------------
+
+    def _toposort(
+        self, children: dict[TermId, list[TermId]], indeg: dict[TermId, int]
+    ) -> list[TermId]:
         """The live terms, parents first, by a breadth-first walk down the
-        child edges from the parentless terms (the namespace roots).  The
-        walk also checks that every term reaches its own namespace's root."""
-        indeg = {t.id: len(t.parents) for t in self._live_terms()}
+        child edges, each term's children in id order, from the namespace
+        roots in id order; ``indeg`` is each live term's parent count, and
+        is used up.  The walk also checks that every term reaches its own
+        namespace's root."""
         under = dict.fromkeys(indeg, 0)  # bit i: reached from the i-th root
         for i, root in enumerate(self.roots.values()):
             under[root] = 1 << i
-        order: list[TermId] = []
-        ready = deque(sorted(t for t, d in indeg.items() if d == 0))
-        while ready:
-            tid = ready.popleft()
-            order.append(tid)
+        order = sorted(self.roots.values())
+        for tid in order:  # ``order`` is also the walk's queue
+            kids = children.get(tid)
+            if kids is None:
+                continue
+            kids.sort()
             bits = under[tid]
-            for child in children[tid]:
+            for child in kids:
                 under[child] |= bits
                 indeg[child] -= 1
-                if indeg[child] == 0:
-                    ready.append(child)
+                if not indeg[child]:
+                    order.append(child)
         if len(order) != len(indeg):
             member = min(t for t, d in indeg.items() if d > 0)
             raise ValidationError(f"parent relation contains a cycle through {member}")
-        for i, (ns, root) in enumerate(self.roots.items()):
-            stranded = [
-                t for t in order if not under[t] >> i & 1 and self.terms[t].namespace == ns
-            ]
-            if stranded:
-                raise ValidationError(
-                    f"terms cannot reach the {ns} root {root}: {sorted(stranded)[:5]}"
-                )
+        if len(self.roots) > 1:  # with one root, every term reaches it
+            need = {ns: 1 << i for i, ns in enumerate(self.roots)}
+            terms = self.terms
+            # a namespace without a root asks for no particular bit (-1)
+            stranded = [t for t in order if not under[t] & need.get(terms[t].namespace, -1)]
+            for ns, root in self.roots.items():
+                lost = sorted(t for t in stranded if terms[t].namespace == ns)
+                if lost:
+                    raise ValidationError(f"terms cannot reach the {ns} root {root}: {lost[:5]}")
         return order
 
     # -- queries -------------------------------------------------------------
@@ -246,12 +252,6 @@ def _blocks(text: str) -> Iterator[str]:
         start = cut
 
 
-def _lines(text: str) -> Iterator[str]:
-    """``text.splitlines()``, split a block at a time, so the whole list of
-    lines is never held."""
-    return chain.from_iterable(map(str.splitlines, _blocks(text)))
-
-
 def parse_obo(data: bytes | str) -> Ontology:
     """Parse OBO 1.2 flat text into an :class:`Ontology`.
 
@@ -260,6 +260,12 @@ def parse_obo(data: bytes | str) -> Ontology:
     Unknown stanzas and tags are skipped.
     Obsolete terms are retained with their parent edges dropped.
     Equal term ids and namespaces share one string object.
+
+    A line is first split at its first ``:`` as it stands; only a line whose
+    tag is not one ``parse_obo`` reads, as written, is stripped and split
+    again, which gives the same tag and value.  No line is counted as it is
+    read: an error's line number comes from the lines before the block and
+    what the block's iterator has left.
     """
     if isinstance(data, bytes):
         digest = hashlib.sha256(data).hexdigest()
@@ -269,70 +275,74 @@ def parse_obo(data: bytes | str) -> Ontology:
         text = data
 
     terms: dict[TermId, Term] = {}
-    in_term = False
+    tags: dict[str, int] = {}  # the tags read in the current stanza
     cur_id: TermId | None = None
     cur_name = cur_ns = ""
     cur_parents: set[tuple[TermId, str]] = set()
     cur_obsolete = False
     is_id = TERM_ID_RE.match
-    # one more stanza header ends the last stanza
-    for lineno, raw in enumerate(chain(_lines(text), ["["]), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "[":
-            if cur_id is not None:
-                if cur_id in terms:
-                    raise ParseError(f"duplicate term id {cur_id}", lineno)
-                parents = frozenset() if cur_obsolete else frozenset(cur_parents)
-                terms[cur_id] = Term(cur_id, cur_name, cur_ns, parents, cur_obsolete)
-            elif in_term and (cur_name or cur_parents):
-                raise ParseError("[Term] stanza without an id tag", lineno)
-            in_term = line == "[Term]"
-            cur_id, cur_name, cur_ns = None, "", ""
-            cur_parents, cur_obsolete = set(), False
-            continue
-        if not in_term:
-            continue
-        tag, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'tag: value', got {line!r}", lineno)
-        read = _READ_TAGS.get(tag.rstrip())  # the line has no leading space
-        if read is None:
-            continue
-        if read == _ID:
-            value = value.strip()
-            if not is_id(value):
-                raise ParseError(f"malformed term id {value!r}", lineno)
-            cur_id = intern(value)
-        elif read == _IS_A:
-            target = value.split("!", 1)[0].strip()
-            if not is_id(target):
-                raise ParseError(f"malformed is_a target {value.strip()!r}", lineno)
-            cur_parents.add((intern(target), IS_A))
-        elif read == _NAME:
-            cur_name = value.strip()
-        elif read == _NAMESPACE:
-            cur_ns = intern(value.strip())
-        elif read == _RELATIONSHIP:
-            parts = value.split("!", 1)[0].split()
-            if len(parts) == 2 and parts[0] == PART_OF:
-                if not is_id(parts[1]):
-                    raise ParseError(f"malformed part_of target {value.strip()!r}", lineno)
-                cur_parents.add((intern(parts[1]), PART_OF))
-        else:
-            cur_obsolete = value.strip() == "true"
+    new_term = tuple.__new__  # ``Term(...)`` without the NamedTuple's Python-level __new__
+    done = 0  # lines in the blocks before this one
 
-    dangling = sorted(
-        {
-            parent
-            for term in terms.values()
-            for parent, _ in term.parents
-            if parent not in terms
-        }
-    )
-    if dangling:
-        raise ValidationError(f"parent references to unknown terms: {dangling}")
+    def line_no() -> int:  # the line the block's iterator gave last
+        return done + len(lines) - length_hint(rest)
+
+    # one more stanza header ends the last stanza
+    for block in chain(_blocks(text), ["["]):
+        lines = block.splitlines()
+        rest = iter(lines)
+        for raw in rest:
+            tag, sep, value = raw.partition(":")
+            read = tags.get(tag)
+            if read is None or not sep:
+                line = raw.strip()
+                if not line:
+                    continue
+                if line[0] == "[":
+                    if cur_id is not None:
+                        if cur_id in terms:
+                            raise ParseError(f"duplicate term id {cur_id}", line_no())
+                        parents = frozenset() if cur_obsolete else frozenset(cur_parents)
+                        terms[cur_id] = new_term(
+                            Term, (cur_id, cur_name, cur_ns, parents, cur_obsolete)
+                        )
+                    elif tags and (cur_name or cur_parents):
+                        raise ParseError("[Term] stanza without an id tag", line_no())
+                    tags = _READ_TAGS if line == "[Term]" else {}
+                    cur_id, cur_name, cur_ns = None, "", ""
+                    cur_parents, cur_obsolete = set(), False
+                    continue
+                if not tags:
+                    continue
+                tag, sep, value = line.partition(":")
+                if not sep:
+                    raise ParseError(f"expected 'tag: value', got {line!r}", line_no())
+                read = tags.get(tag.rstrip())  # the line has no leading space
+                if read is None:
+                    continue
+            if read == _ID:
+                value = value.strip()
+                if not is_id(value):
+                    raise ParseError(f"malformed term id {value!r}", line_no())
+                cur_id = intern(value)
+            elif read == _IS_A:
+                target = value.split("!", 1)[0].strip()
+                if not is_id(target):
+                    raise ParseError(f"malformed is_a target {value.strip()!r}", line_no())
+                cur_parents.add((intern(target), IS_A))
+            elif read == _NAME:
+                cur_name = value.strip()
+            elif read == _NAMESPACE:
+                cur_ns = intern(value.strip())
+            elif read == _RELATIONSHIP:
+                parts = value.split("!", 1)[0].split()
+                if len(parts) == 2 and parts[0] == PART_OF:
+                    if not is_id(parts[1]):
+                        raise ParseError(f"malformed part_of target {value.strip()!r}", line_no())
+                    cur_parents.add((intern(parts[1]), PART_OF))
+            else:
+                cur_obsolete = value.strip() == "true"
+        done += len(lines)
 
     return Ontology(terms, source_digest=digest)
 

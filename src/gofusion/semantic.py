@@ -10,10 +10,11 @@ sets.
 ``term_similarity``, ``min_subsumer`` and ``gene_semantic_distance`` are the
 scalar definitions and serve as the test oracles.  ``_term_sim_table`` and
 ``semantic_distance_matrix`` compute the same numbers, bit for bit, with
-numpy passes over blocks and no Python code per pair: the table paints each
-shared ancestor's column index over the block of term pairs that share it,
-lowest IC first, then converts the indices to similarities block by block of
-rows; the gene fill works on blocks of genes.  Both run single-threaded.
+numpy passes over blocks and no Python code per pair: the table takes each
+pair's minimum subsumer as a minimum over one term's ancestor columns, for
+blocks of terms at a time, then converts the indices to similarities block
+by block of rows; the gene fill works on blocks of genes.  Both run
+single-threaded.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ SIMILARITY_KINDS = (RELEVANCE, LIN, RESNIK_NORMALIZED)
 _DECODE = 64
 _ROWS = 16
 _GENES = 32
+# bytes of each integer block the term table's minimum holds, and of each
+# gather from it: at a few hundred union terms, about the gene fill's own
+# ``half`` and ``cover`` arrays
+_MIN_BYTES = 1 << 18
 
 
 def _check_namespace(o: Ontology, c: AnnotationCorpus, t: TermId) -> None:
@@ -122,15 +127,42 @@ def _ancestor_columns(
     union = 0
     for b in bits:
         union |= b
-    cols = sorted((t for t in o.terms_of(union) if t in c.ic), key=lambda t: (-c.ic[t], t))
+    cols = sorted(t for t in o.terms_of(union) if t in c.ic)
+    cols.sort(key=c.ic.__getitem__, reverse=True)  # a stable sort: equal ICs stay in id order
     where = np.array([o.index[t] for t in cols], dtype=np.intp)
-    flat, sizes = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    flat, owner = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, len(terms), _DECODE):
-        member = o.bit_rows(bits[lo : lo + _DECODE]).view(bool)[:, where]
-        flat.append(np.nonzero(member)[1])
-        sizes.append(np.count_nonzero(member, axis=1))
-    run = np.concatenate(sizes)
+        member = np.take(o.bit_rows(bits[lo : lo + _DECODE]).view(bool), where, axis=1)
+        row, col = np.divmod(np.flatnonzero(member), len(cols))
+        flat.append(col)
+        owner.append(row + lo)
+    run = np.bincount(np.concatenate(owner), minlength=len(terms))
     return cols, np.concatenate(flat), np.cumsum(run) - run
+
+
+def _row_groups(
+    flat: np.ndarray, starts: np.ndarray, runs: np.ndarray, pad: int, cap: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The terms in groups of similar ancestor count, each with its columns.
+
+    Terms are taken in order of their run length in ``flat``; a group is the
+    longest stretch whose runs, padded with ``pad`` to the group's longest,
+    hold at most ``cap`` entries (one term at least).  Each group gives its
+    terms and a (longest run, terms) array of their columns.
+    """
+    order = np.argsort(runs, kind="stable")
+    sizes = runs[order]
+    padded = np.append(flat, pad)
+    groups = []
+    lo = 0
+    while lo < len(order):
+        fits = sizes[lo:] * np.arange(1, len(order) - lo + 1) <= cap
+        hi = lo + max(1, int(np.count_nonzero(fits)))  # ``fits`` is a run of Trues
+        rows = order[lo:hi]
+        p = np.arange(sizes[hi - 1])[:, None]
+        groups.append((rows, padded[np.where(p < runs[rows], starts[rows] + p, len(flat))]))
+        lo = hi
+    return groups
 
 
 def _term_sim_table(
@@ -141,13 +173,17 @@ def _term_sim_table(
     Ancestors with an IC become columns ordered by IC, highest first, ties
     by smallest id, so the minimum subsumer of a pair is the smallest column
     the two terms share: the scalar's max-IC, smallest-id rule.  The table
-    first holds column indices, in an int64 view of its own buffer.  Every
-    entry starts at the sentinel ``len(cols)``, "no common ancestor with an
-    IC", whose IC of -1 gives the scalar's fallback value.  Each column
-    shared by two or more terms then paints its index over those terms'
-    block, from the lowest IC (the last column) to the highest, so the last
-    write to a pair is the smallest column it shares.  The diagonal takes
-    each term's own first column.  Blocks of rows then turn the indices
+    first holds column indices, in an int64 view of its own buffer, and the
+    sentinel ``len(cols)`` means "no common ancestor with an IC": its IC of
+    -1 gives the scalar's fallback value.
+
+    Row ``i`` is the elementwise minimum, over term ``i``'s own columns
+    ``k``, of an integer row that holds ``k`` at each term that has column
+    ``k`` and the sentinel elsewhere.  Those rows are built for a block of
+    table columns at a time, with one more row of sentinels that pads the
+    shorter runs of a group of terms, and each group of terms takes its
+    minimum over the block with one gather.  A block and a gather hold at
+    most ``_MIN_BYTES`` bytes each.  Blocks of rows then turn the indices
     into similarities in place, with the scalar's formula per element.
     """
     if kind not in SIMILARITY_KINDS:
@@ -165,16 +201,19 @@ def _term_sim_table(
     u = len(terms)
     sim = np.empty((u, u))
     mica = sim.view(np.int64)
-    mica.fill(no_mica)
-    # each column's terms, in increasing order
-    by_col = np.argsort(flat, kind="stable")
-    holders = np.repeat(np.arange(u), np.diff(np.append(starts, len(flat))))[by_col]
-    bounds = np.searchsorted(flat[by_col], np.arange(no_mica + 1)).tolist()
-    for k in range(no_mica - 1, -1, -1):
-        if bounds[k + 1] - bounds[k] > 1:
-            ts = holders[bounds[k] : bounds[k + 1]]
-            mica[ts[:, None], ts] = k
-    np.fill_diagonal(mica, flat[starts])  # each run of ``flat`` is increasing
+    runs = np.diff(starts, append=len(flat))
+    small = np.min_scalar_type(no_mica)
+    width = max(1, min(u, _MIN_BYTES // (small.itemsize * (no_mica + 1))))
+    groups = _row_groups(flat, starts, runs, no_mica, _MIN_BYTES // (small.itemsize * width))
+    holders = np.empty((no_mica + 1, width), dtype=small)
+    for lo in range(0, u, width):
+        hi = min(lo + width, u)
+        block = holders[:, : hi - lo]
+        block.fill(no_mica)
+        held = flat[starts[lo] : starts[hi - 1] + runs[hi - 1]]
+        block[held, np.repeat(np.arange(hi - lo), runs[lo:hi])] = held
+        for rows, ix in groups:
+            mica[rows, lo:hi] = np.minimum.reduce(block[ix], axis=0)
 
     for lo in range(0, u, _ROWS):
         m = mica[lo : lo + _ROWS]

@@ -1,4 +1,5 @@
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from gofusion.annotations import build_corpus
 from gofusion.clustering import PAM_BUILD, Cluster, Partition, initial_medoid
 from gofusion.expression import DistanceMatrix, write_distance_tsv
 from gofusion.ontology import parse_obo
+from gofusion.semantic import _ancestor_columns
 
 FIXTURE_OBO = """\
 [Term]
@@ -201,3 +203,43 @@ def reference_centroid_assign(expr, part: Partition, held_out, metric: str) -> P
         for i, cl in enumerate(part.clusters)
     )
     return Partition(clusters, part.k, part.total_cost)
+
+
+def reference_term_table(o, c, terms, kind):
+    """The term table painted by shared ancestor: every column held by two
+    or more terms writes its index over those terms' block, from the lowest
+    IC to the highest, so a pair's last write is the smallest column it
+    shares; the diagonal takes each term's first column.  Then the column
+    indices become similarities, a block of 16 rows at a time."""
+    ics = np.array([c.ic[t] for t in terms])
+    peak = max(c.ic.values()) if c.ic else 0.0
+    cols, flat, starts = _ancestor_columns(o, c, terms)
+    no_mica = len(cols)
+    col_ic = np.array([c.ic[t] for t in cols] + [-1.0])
+    col_rel = np.array([1.0 - math.exp(-ic) for ic in col_ic])
+    u = len(terms)
+    sim = np.empty((u, u))
+    mica = sim.view(np.int64)
+    mica.fill(no_mica)
+    by_col = np.argsort(flat, kind="stable")
+    holders = np.repeat(np.arange(u), np.diff(np.append(starts, len(flat))))[by_col]
+    bounds = np.searchsorted(flat[by_col], np.arange(no_mica + 1)).tolist()
+    for k in range(no_mica - 1, -1, -1):
+        if bounds[k + 1] - bounds[k] > 1:
+            ts = holders[bounds[k] : bounds[k + 1]]
+            mica[ts[:, None], ts] = k
+    np.fill_diagonal(mica, flat[starts])
+    for lo in range(0, u, 16):
+        m = mica[lo : lo + 16]
+        ms_ic = col_ic[m]
+        if kind == "resnik_normalized":
+            block = np.minimum(ms_ic / peak, 1.0) if peak != 0.0 else np.zeros(m.shape)
+        else:
+            denom = ics[lo : lo + 16, None] + ics
+            with np.errstate(divide="ignore", invalid="ignore"):
+                block = 2.0 * ms_ic / denom
+            if kind == "relevance":
+                block *= col_rel[m]
+            block = np.where(denom == 0.0, 0.0, np.minimum(block, 1.0))
+        sim[lo : lo + 16] = block
+    return sim

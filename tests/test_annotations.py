@@ -76,6 +76,17 @@ def test_malformed_row_line_number(fixture_ontology):
         load_annotations(tsv, fixture_ontology, BP)
 
 
+def test_blank_rows_skipped_and_counted_as_lines(fixture_ontology):
+    """Rows of whitespace only, tabs too, are skipped; a later error still
+    names the line of the file."""
+    head, rest = FIXTURE_TSV.split("\n", 1)
+    tsv = head + "\n\t\t\t\n \r\n" + rest
+    c = load_annotations(tsv, fixture_ontology, BP)
+    assert c.direct == load_annotations(FIXTURE_TSV, fixture_ontology, BP).direct
+    with pytest.raises(ParseError, match="line 7"):
+        load_annotations(tsv + "gE\tGO:0000002\tIDA\n", fixture_ontology, BP)
+
+
 def test_duplicate_rows_collapsed(fixture_ontology):
     tsv = FIXTURE_TSV + "gA\tGO:0000003\tIMP\tbiological_process\n"
     c = load_annotations(tsv, fixture_ontology, BP)

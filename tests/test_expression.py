@@ -57,6 +57,22 @@ class TestLoadExpression:
         with pytest.raises((ParseError, ValidationError)):
             load_expression("gene_id\tc1\ng1\t1\ng2\t2\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("gene_id\tc1\tc2\n\n\ng1\t1\t2\ng2\t1\tx\n", 5),
+            ("\ngene_id\tc1\tc2\n \ng1\t1\t2\t3\n", 4),
+            ("\n\ngene_id\n", 3),
+            ("\n\ngene_id\tc1\tc2\n\n", 4),
+            ("gene_id\tc1\tc2\r\n\r\ng1\t1\t2\r\n\t\r\ng1\t4\t5\r\n", 5),
+        ],
+    )
+    def test_error_names_the_line_of_the_file(self, text, line):
+        """Blank lines count: the line is the file's, not the n-th non-blank one."""
+        with pytest.raises(ParseError) as err:
+            load_expression(text)
+        assert err.value.line == line
+
     @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     def test_byte_order_mark_dropped(self, mark):
         m = load_expression(mark + b"gene_id\tc1\tc2\ng1\t1\t2\ng2\t4\t5\n")
@@ -137,6 +153,48 @@ class TestDistanceMatrixType:
         assert back.genes == dm.genes
         assert np.allclose(back.d, dm.d, atol=1e-9)
         assert tsv_text(back) == tsv_text(dm)
+
+
+class TestReadDistanceTsv:
+    TEXT = "gene_id\ta\tb\n\na\t0\t0.25\nb\t0.25\t0\n"
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [
+            ("gene_id\ta\tb\n\na\t0\t0.25\nb\t0.25\tx\n", 4, "non-numeric"),
+            ("gene_id\ta\tb\n\n\na\t0\t0.25\n\nb\t0.25\n", 6, "columns"),
+            ("gene_id\ta\tb\na\t0\t0.25\n\nc\t0.25\t0\n", 4, "row gene"),
+            ("gene_id\ta\tb\n\na\t0\t0.25\n\n", 3, "data rows"),
+            ("\n\n\ngene_id\ta\n\na\t\n", 6, "non-numeric"),
+            ("gene_id\ta\tb\r\n\r\na\t0\t\r\nb\t0\t0\r\n", 3, "non-numeric"),
+        ],
+    )
+    def test_error_names_the_line_of_the_file(self, text, line, what):
+        with pytest.raises(ParseError, match=what) as err:
+            read_distance_tsv(text)
+        assert err.value.line == line
+
+    def test_blank_lines_skipped(self):
+        dm = read_distance_tsv(self.TEXT)
+        assert dm.genes == ("a", "b")
+        assert dm.value("a", "b") == 0.25
+
+    @pytest.mark.parametrize("cell", ["0.2_5", " 0.25", "0.25\xa0", "+.25", "٠.٢٥"])
+    def test_cells_that_float_reads(self, cell):
+        """numpy's reader rejects some cells that ``float()`` reads; those
+        rows go through ``float()``."""
+        dm = read_distance_tsv(self.TEXT.replace("b\t0.25", "b\t" + cell))
+        assert dm.value("a", "b") == 0.25
+
+    def test_same_bits_as_float(self):
+        rng = np.random.default_rng(5)
+        dm = random_distance_matrix(rng, 40)
+        head, body = tsv_text(dm).split("\n", 1)
+        text = head + "\n" + body.replace("\t0.", "\t+0.0", 7).replace("\t", "\t ", 9)
+        d = np.array([[float(x) for x in line.split("\t")[1:]] for line in text.splitlines()[1:]])
+        ref = np.minimum(d, d.T)
+        np.fill_diagonal(ref, 0.0)
+        assert read_distance_tsv(text).d.tobytes() == ref.tobytes()
 
 
 def _reference_write(dm):

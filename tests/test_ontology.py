@@ -1,8 +1,11 @@
 import hashlib
 import re
+from collections import deque
+from itertools import chain
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -215,7 +218,8 @@ def test_lines_in_blocks_equal_splitlines():
         text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
         for block in (1, 2, 3, 5, 64):
             with mock.patch.object(ontology, "_LINE_BLOCK", block):
-                assert list(ontology._lines(text)) == text.splitlines()
+                lines = [ln for b in ontology._blocks(text) for ln in b.splitlines()]
+                assert lines == text.splitlines()
 
 
 def test_parse_memory_per_live_term(tmp_path, monkeypatch):
@@ -341,7 +345,7 @@ def parse_outcome(parse, data):
         o = parse(data)
     except GofusionError as e:
         return type(e), str(e), getattr(e, "line", None)
-    return o.terms, o.topo_order, o.roots, o.source_digest
+    return o.terms, o.topo_order, o.index, o.roots, o.source_digest
 
 
 def damaged(text: str, rng) -> str:
@@ -388,6 +392,7 @@ OBO_SOURCES = list(obo_sources())
 @pytest.mark.parametrize("name, data", OBO_SOURCES, ids=lambda v: v if isinstance(v, str) else "")
 def test_parser_equals_reference_on_whole_and_damaged_files(name, data):
     assert parse_outcome(parse_obo, data) == parse_outcome(reference_parse_obo, data)
+    assert parse_outcome(parse_obo, data) == parse_outcome(line_loop_parse_obo, data)
     text = data.decode()
     rng = np.random.default_rng(len(data))
     kinds = set()
@@ -396,6 +401,7 @@ def test_parser_equals_reference_on_whole_and_damaged_files(name, data):
         for form in (bad, bad.replace("\n", "\r\n").encode()):
             got = parse_outcome(parse_obo, form)
             assert got == parse_outcome(reference_parse_obo, form)
+            assert got == parse_outcome(line_loop_parse_obo, form)
             kinds.add(re.sub(r"\d+", "", got[1])[:30] if isinstance(got[0], type) else "ok")
     assert len(kinds) >= 3  # the damage reaches several kinds of error
 
@@ -405,3 +411,148 @@ def test_parser_equals_reference_in_small_line_blocks(name, data):
     # blocks of a few characters: block edges fall next to "\r\n" pairs and inside stanzas
     with mock.patch.object(ontology, "_LINE_BLOCK", 3):
         test_parser_equals_reference_on_whole_and_damaged_files(name, data)
+
+
+def line_loop_parse_obo(data):
+    """``parse_obo`` as written before it split lines as they stand: each
+    line numbered by ``enumerate`` and stripped, then split at its first
+    ``:``, and the terms ordered by ``line_loop_order``.  Returns the
+    ontology's parts: terms, topo_order, index, roots and source_digest."""
+    if isinstance(data, bytes):
+        digest = hashlib.sha256(data).hexdigest()
+        text = data.decode("utf-8-sig")
+    else:
+        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        text = data
+
+    tags = {"id": 0, "name": 1, "namespace": 2, "is_a": 3, "relationship": 4, "is_obsolete": 5}
+    terms = {}
+    in_term = False
+    cur_id = None
+    cur_name = cur_ns = ""
+    cur_parents = set()
+    cur_obsolete = False
+    for lineno, raw in enumerate(chain(text.splitlines(), ["["]), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "[":
+            if cur_id is not None:
+                if cur_id in terms:
+                    raise ParseError(f"duplicate term id {cur_id}", lineno)
+                parents = frozenset() if cur_obsolete else frozenset(cur_parents)
+                terms[cur_id] = Term(cur_id, cur_name, cur_ns, parents, cur_obsolete)
+            elif in_term and (cur_name or cur_parents):
+                raise ParseError("[Term] stanza without an id tag", lineno)
+            in_term = line == "[Term]"
+            cur_id, cur_name, cur_ns = None, "", ""
+            cur_parents, cur_obsolete = set(), False
+            continue
+        if not in_term:
+            continue
+        tag, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"expected 'tag: value', got {line!r}", lineno)
+        read = tags.get(tag.rstrip())
+        if read is None:
+            continue
+        if read == 0:
+            value = value.strip()
+            if not is_term_id(value):
+                raise ParseError(f"malformed term id {value!r}", lineno)
+            cur_id = value
+        elif read == 3:
+            target = value.split("!", 1)[0].strip()
+            if not is_term_id(target):
+                raise ParseError(f"malformed is_a target {value.strip()!r}", lineno)
+            cur_parents.add((target, IS_A))
+        elif read == 1:
+            cur_name = value.strip()
+        elif read == 2:
+            cur_ns = value.strip()
+        elif read == 4:
+            parts = value.split("!", 1)[0].split()
+            if len(parts) == 2 and parts[0] == PART_OF:
+                if not is_term_id(parts[1]):
+                    raise ParseError(f"malformed part_of target {value.strip()!r}", lineno)
+                cur_parents.add((parts[1], PART_OF))
+        else:
+            cur_obsolete = value.strip() == "true"
+
+    dangling = sorted(
+        {parent for term in terms.values() for parent, _ in term.parents if parent not in terms}
+    )
+    if dangling:
+        raise ValidationError(f"parent references to unknown terms: {dangling}")
+    order, index, roots = line_loop_order(terms)
+    return SimpleNamespace(
+        terms=terms, topo_order=order, index=index, roots=roots, source_digest=digest
+    )
+
+
+def line_loop_order(terms):
+    """``Ontology.__init__`` as written before it built child lists for the
+    parents only: the obsolete-parent check, the roots, then a breadth-first
+    walk from the sorted roots over sorted child lists, with the stranded
+    check made once per root.  Returns topo_order, index and roots."""
+    children = {t: [] for t in terms}
+    for term in terms.values():
+        if term.obsolete:
+            continue
+        for parent, _kind in term.parents:
+            if terms[parent].obsolete:
+                dead = sorted(p for p, _ in term.parents if terms[p].obsolete)
+                raise ValidationError(f"term {term.id} has obsolete parent(s): {', '.join(dead)}")
+            children[parent].append(term.id)
+    for kids in children.values():
+        kids.sort()
+    live = [t for t in terms.values() if not t.obsolete]
+    parentless = {}
+    for term in live:
+        if not term.parents:
+            parentless.setdefault(term.namespace, []).append(term.id)
+    roots = {}
+    for ns, ids in parentless.items():
+        if len(ids) > 1:
+            raise ValidationError(f"namespace {ns} has multiple parentless terms: {sorted(ids)}")
+        roots[ns] = ids[0]
+    indeg = {t.id: len(t.parents) for t in live}
+    under = dict.fromkeys(indeg, 0)
+    for i, root in enumerate(roots.values()):
+        under[root] = 1 << i
+    order = []
+    ready = deque(sorted(t for t, d in indeg.items() if d == 0))
+    while ready:
+        tid = ready.popleft()
+        order.append(tid)
+        for child in children[tid]:
+            under[child] |= under[tid]
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                ready.append(child)
+    if len(order) != len(indeg):
+        member = min(t for t, d in indeg.items() if d > 0)
+        raise ValidationError(f"parent relation contains a cycle through {member}")
+    for i, (ns, root) in enumerate(roots.items()):
+        stranded = [t for t in order if not under[t] >> i & 1 and terms[t].namespace == ns]
+        if stranded:
+            raise ValidationError(
+                f"terms cannot reach the {ns} root {root}: {sorted(stranded)[:5]}"
+            )
+    return order, {t: i for i, t in enumerate(order)}, roots
+
+
+def test_ids_and_namespaces_interned():
+    o = parse_obo(FIXTURE_OBO.encode())
+    leaf = o.terms["GO:0000003"]
+    assert next(p for p, _ in leaf.parents) is o.terms["GO:0000001"].id
+    assert leaf.namespace is o.terms[ROOT].namespace
+
+
+def test_ontology_rejects_dangling_parent_without_parse():
+    terms = {
+        ROOT: Term(ROOT, "root", BP, frozenset()),
+        "GO:0000001": Term("GO:0000001", "a", BP, frozenset({("GO:0000404", IS_A)})),
+    }
+    with pytest.raises(ValidationError, match=r"unknown terms: \['GO:0000404'\]"):
+        Ontology(terms)
