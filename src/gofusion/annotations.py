@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyCorpusError, ParseError, UnknownIdError
+from .expression import tsv_rows
 from .ontology import Ontology, TermId
 
 logger = logging.getLogger(__name__)
@@ -135,26 +136,19 @@ def load_annotations(
 ) -> AnnotationCorpus:
     """Load a ``gene_id TAB term_id TAB evidence_code TAB namespace`` TSV.
 
-    A header line is detected by the literal ``gene_id`` in the first
-    column.  Rows in other namespaces or with excluded evidence codes
-    (default ``{"ND"}``) are dropped; rows referencing unknown or obsolete
-    terms are dropped with a counted warning; genes left without any term
-    are dropped.  Raises :class:`EmptyCorpusError` if nothing survives.
-    A UTF-8 byte-order mark before ``data`` bytes is dropped.
+    Rows are read by ``expression.tsv_rows``: blank lines are skipped, and
+    the first non-blank line is a header if it starts with ``gene_id TAB
+    term_id TAB``.  Rows in other namespaces or with excluded evidence
+    codes (default ``{"ND"}``) are dropped; rows referencing unknown or
+    obsolete terms are dropped with a counted warning; genes left without
+    any term are dropped.  Raises :class:`EmptyCorpusError` if nothing
+    survives.
     """
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     direct: dict[GeneId, set[TermId]] = {}
     seen_genes: set[GeneId] = set()
     total = kept = wrong_ns = excluded = unknown = dup = 0
     terms = o.terms
-    for lineno, line in enumerate(text.splitlines(), start=1):  # no line keeps a "\r"
-        if not line or line.isspace():
-            continue
-        fields = line.split("\t")
-        if lineno == 1 and fields[0] == "gene_id":
-            continue
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 tab-separated columns, got {len(fields)}", lineno)
+    for lineno, fields in tsv_rows(data, 4, "gene_id\tterm_id\t"):
         gene, term, evidence, ns = map(str.strip, fields)
         if not gene:
             raise ParseError("empty gene_id", lineno)

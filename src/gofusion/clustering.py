@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError
-from .expression import DistanceMatrix, GeneId
+from .expression import DistanceMatrix, GeneId, tsv_rows
 
 PAM_BUILD = "pam_build"
 LITERAL = "literal"
@@ -296,20 +296,14 @@ def write_partition_tsv(p: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_partition_tsv(text: str) -> Partition:
-    rows: list[tuple[str, int, str, bool]] = []
+def read_partition_tsv(data: bytes | str) -> Partition:
+    """Read what ``write_partition_tsv`` writes.  Each cluster index must be
+    below the number of rows, since each cluster needs its medoid row."""
+    rows: list[tuple[int, str, int, str, bool]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        # two header columns: a gene may be named gene_id
-        if not line.strip() or line.startswith("gene_id\tcluster_index\t"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 columns, got {len(fields)}", lineno)
-        gene, ci, origin, is_med = fields
+    for lineno, (gene, ci, origin, is_med) in tsv_rows(data, 4, "gene_id\tcluster_index\t"):
         if origin not in ("A", "B") or is_med not in ("0", "1"):
-            raise ParseError(f"bad origin/is_medoid in {line!r}", lineno)
+            raise ParseError(f"bad origin {origin!r} or is_medoid {is_med!r}", lineno)
         try:
             idx = int(ci)
         except ValueError:
@@ -319,14 +313,17 @@ def read_partition_tsv(text: str) -> Partition:
         if gene in seen:
             raise ParseError(f"gene {gene!r} is listed on more than one row", lineno)
         seen.add(gene)
-        rows.append((gene, idx, origin, is_med == "1"))
+        rows.append((lineno, gene, idx, origin, is_med == "1"))
     if not rows:
         raise ParseError("empty partition file", 1)
-    n_clusters = max(r[1] for r in rows) + 1
+    lineno, _gene, top, _origin, _is_med = max(rows, key=lambda r: r[2])
+    if top >= len(rows):
+        raise ParseError(f"cluster index {top} with only {len(rows)} rows to hold medoids", lineno)
+    n_clusters = top + 1
     medoids: dict[int, str] = {}
     mem_a: list[set[str]] = [set() for _ in range(n_clusters)]
     mem_b: list[set[str]] = [set() for _ in range(n_clusters)]
-    for gene, idx, origin, is_med in rows:
+    for _lineno, gene, idx, origin, is_med in rows:
         if origin == "A":
             mem_a[idx].add(gene)
             if is_med:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .annotations import AnnotationCorpus, GeneId
 from .clustering import Cluster, Partition
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ParseError
+from .expression import tsv_rows
 from .ontology import Ontology, TermId
 
 CORRECTION_NONE = "none"
@@ -219,7 +220,9 @@ def write_inferred_tsv(inferred: list[InferredAnnotation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_inferred_tsv(text: str, b_clusters: dict[GeneId, int]) -> list[InferredAnnotation]:
+def read_inferred_tsv(
+    data: bytes | str, b_clusters: dict[GeneId, int]
+) -> list[InferredAnnotation]:
     """The records of ``inferred.tsv``, one per gene, sorted by gene.
 
     ``b_clusters`` maps the partition's B genes to their clusters; a B gene
@@ -228,20 +231,11 @@ def read_inferred_tsv(text: str, b_clusters: dict[GeneId, int]) -> list[Inferred
     """
     per_gene: dict[GeneId, list[tuple[TermId, float]]] = {}
     cluster_of: dict[GeneId, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.startswith("gene_id\t"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataError(f"inferred.tsv line {lineno}: expected 4 columns")
-        gene, term, p, ci = fields
+    for lineno, (gene, term, p, ci) in tsv_rows(data, 4, "gene_id\tterm_id\t"):
         try:
             p_value, cluster_index = float(p), int(ci)
         except ValueError:
-            raise DataError(
-                f"inferred.tsv line {lineno}: bad p-value {p!r} or cluster index {ci!r}"
-            ) from None
+            raise ParseError(f"bad p-value {p!r} or cluster index {ci!r}", lineno) from None
         per_gene.setdefault(gene, []).append((term, p_value))
         cluster_of[gene] = cluster_index
     for gene, cluster_index in b_clusters.items():

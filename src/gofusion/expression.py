@@ -1,4 +1,5 @@
-"""Expression matrices and normalized expression-based distance matrices.
+"""Expression matrices, normalized expression-based distance matrices, and
+the readers that split every gene table of the package into numbered rows.
 
 Both distance flavors land in [0, 1]: Euclidean distances are divided by
 the largest off-diagonal raw distance, and Pearson correlation r is mapped
@@ -10,7 +11,8 @@ matrix here and the nearest-centroid step of gamma tuning both call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TextIO
+from itertools import chain
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -102,52 +104,87 @@ def upper_triangle(n: int) -> np.ndarray:
     return idx[:, None] < idx
 
 
-def load_expression(data: bytes | str) -> ExpressionMatrix:
-    """Parse a ``gene_id TAB cond1 TAB ...`` TSV with one gene per row.
-
-    Missing or non-numeric cells, ragged rows and duplicate gene ids are
-    rejected with the offending line of the file, blank lines counted;
-    genes with missing values must be dropped by the caller before writing
-    the file.  A UTF-8 byte-order mark before ``data`` bytes is dropped.
-    """
+def _lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+    """(line of the file, line) for each non-blank line; bytes are UTF-8."""
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines:
-        raise ParseError("empty expression file", 1)
-    head_no, head = lines[0]
-    header = head.split("\t")
-    if len(header) < 2:
-        raise ParseError("header must name at least one condition", head_no)
-    conditions = tuple(h.strip() for h in header[1:])
-    genes: list[GeneId] = []
-    rows: list[list[float]] = []
-    seen: set[GeneId] = set()
-    for lineno, line in lines[1:]:
+    return ((no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+
+
+def tsv_rows(data: bytes | str, columns: int, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line of the file, fields) for each data row of a TSV.  Only
+    the first non-blank line can be the header: it is one if it starts with
+    ``header``, so a gene named ``gene_id`` stays a gene.  A row without
+    ``columns`` fields raises ParseError."""
+    lines = _lines(data)
+    first = next(lines, None)
+    if first and not first[1].startswith(header):
+        lines = chain([first], lines)
+    for no, line in lines:
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise ParseError(
-                f"expected {len(header)} columns, got {len(fields)}", lineno
-            )
-        gene = fields[0].strip()
+        if len(fields) != columns:
+            raise ParseError(f"expected {columns} columns, got {len(fields)}", no)
+        yield no, fields
+
+
+def tsv_matrix(data: bytes | str, what: str) -> tuple[list[str], list[tuple[int, str]], np.ndarray]:
+    """The header's fields, each row's (line of the file, gene field) and the
+    values of a ``gene_id TAB name1 TAB ...`` table of numbers.
+
+    The first non-blank line is the header.  Each row must have its width.
+    numpy's C text reader parses the cells; if it rejects one, ``float()``
+    reads them cell by cell: it accepts a little more (``0.1_5``), gives the
+    same bits where numpy accepts a cell, and names a bad cell's line.
+    """
+    lines = _lines(data)
+    head_no, head = next(lines, (0, ""))
+    if not head_no:
+        raise ParseError(f"empty {what}", 1)
+    header = head.split("\t")
+    width = len(header)
+    if width < 2:
+        raise ParseError("header must name at least one column after the gene column", head_no)
+    rows, cells = [], []
+    for no, line in lines:
+        if (got := line.count("\t") + 1) != width:
+            raise ParseError(f"expected {width} columns, got {got}", no)
+        gene, _tab, rest = line.partition("\t")
+        rows.append((no, gene))
+        cells.append(rest)
+    if not rows:
+        raise ParseError(f"no gene rows in {what}", head_no + 1)
+    values = None
+    if all(cells):  # numpy would skip a row of "", which float() rejects
+        try:
+            values = np.loadtxt(cells, delimiter="\t", comments=None, ndmin=2)
+        except ValueError:
+            pass  # the float() loop below reads the cell or names its line
+    if values is None:
+        values = np.empty((len(rows), width - 1))
+        for row, (no, _gene), rest in zip(values, rows, cells):
+            for col, cell in enumerate(rest.split("\t")):
+                try:
+                    row[col] = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"missing or non-numeric cell {cell!r} in column {col + 2}", no
+                    ) from None
+    return header, rows, values
+
+
+def load_expression(data: bytes | str) -> ExpressionMatrix:
+    """Read a ``gene_id TAB cond1 TAB ...`` TSV, one gene per row, with
+    ``tsv_matrix``; an empty or duplicate gene id is a ParseError too.  A
+    gene with a missing value must be dropped before the file is written."""
+    header, rows, values = tsv_matrix(data, "expression file")
+    genes: dict[GeneId, None] = {}
+    for lineno, gene in rows:
+        gene = gene.strip()
         if not gene:
             raise ParseError("empty gene_id", lineno)
-        if gene in seen:
+        if gene in genes:
             raise ParseError(f"duplicate gene id {gene!r}", lineno)
-        seen.add(gene)
-        row = []
-        for col, cell in enumerate(fields[1:], start=2):
-            cell = cell.strip()
-            if not cell:
-                raise ParseError(f"missing value in column {col}", lineno)
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise ParseError(f"non-numeric cell {cell!r} in column {col}", lineno) from None
-        genes.append(gene)
-        rows.append(row)
-    if not genes:
-        raise ParseError("no gene rows in expression file", head_no + 1)
-    return ExpressionMatrix(tuple(genes), conditions, np.array(rows, dtype=float))
+        genes[gene] = None
+    return ExpressionMatrix(tuple(genes), tuple(h.strip() for h in header[1:]), values)
 
 
 class PreparedRows:
@@ -261,47 +298,17 @@ def write_distance_tsv(dm: DistanceMatrix, f: TextIO) -> None:
                 f.write(g + "\t" + "\t".join(map(texts.__getitem__, row.tolist())) + "\n")
 
 
-def read_distance_tsv(text: str) -> DistanceMatrix:
-    """Read the square TSV that ``write_distance_tsv`` writes; blank lines
-    are skipped, and an error names the line of the file.
-
-    A first pass checks the row count, each row's column count and each
-    row's gene against the header's.  numpy's C text reader then parses the
-    cells.  If it rejects one, the rows go through ``float()`` one by one
-    instead: it accepts a little more (``0.1_5``), and it finds the line of
-    a cell that is not a number.  Where numpy accepts a cell, ``float()``
-    gives the same bits.
-    """
-    numbered = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not numbered:
-        raise ParseError("empty distance matrix file", 1)
-    genes = tuple(numbered[0][1].split("\t")[1:])
+def read_distance_tsv(data: bytes | str) -> DistanceMatrix:
+    """Read the square TSV that ``write_distance_tsv`` writes (``tsv_matrix``):
+    one row per header gene, in the header's order."""
+    header, rows, d = tsv_matrix(data, "distance matrix file")
+    genes = tuple(header[1:])
     n = len(genes)
-    rows = numbered[1:]
     if len(rows) != n:
-        raise ParseError(f"expected {n} data rows, got {len(rows)}", numbered[-1][0])
-    cells = []
-    for (no, line), gene in zip(rows, genes):
-        width = line.count("\t") + 1
-        if width != n + 1:
-            raise ParseError(f"expected {n + 1} columns, got {width}", no)
-        row_gene, _tab, rest = line.partition("\t")
+        raise ParseError(f"expected {n} data rows, got {len(rows)}", rows[-1][0])
+    for (no, row_gene), gene in zip(rows, genes):
         if row_gene != gene:
             raise ParseError(f"row gene {row_gene!r} != column gene {gene!r}", no)
-        cells.append(rest)
-    d = None
-    if n and all(cells):  # numpy would skip a row of "", which float() rejects
-        try:
-            d = np.loadtxt(cells, delimiter="\t", comments=None, ndmin=2)
-        except ValueError:
-            pass  # the float() loop below reads the cell or names its line
-    if d is None:
-        d = np.zeros((n, n))
-        for i, ((no, _line), rest) in enumerate(zip(rows, cells)):
-            try:
-                d[i] = [float(x) for x in rest.split("\t")]
-            except ValueError:
-                raise ParseError("non-numeric distance cell", no) from None
     d = np.minimum(d, d.T)  # %.10g round-trip can break exact symmetry
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(genes, d)

@@ -675,12 +675,14 @@ class TestExitCodes:
              3, "cannot reach the biological_process root"),
             ("distances", "--expression-a", "", 3, "empty expression file"),
             ("cluster", "--d-e", "gene_id\ta\tb\na\t0\t1\n", 3, "expected 2 data rows"),
+            ("cluster", "--d-e", "gene_id\n", 3, "line 1: header must name"),
             # a UTF-8 byte-order mark is dropped, so the header stays a header
             ("pipeline", "--annotations", "\ufeff", 0, ""),
             ("enrich", "--partition", "\ufeff", 0, ""),
         ],
         ids=["obsolete-parent", "self-loop", "two-roots", "stranded-term",
-             "empty-expression", "non-square-distances", "bom-annotations", "bom-partition"],
+             "empty-expression", "non-square-distances", "header-only-distances",
+             "bom-annotations", "bom-partition"],
     )
     def test_bad_input_exit_code(
         self, data_dir, run_dir, tmp_path, command, flag, damage, code, message

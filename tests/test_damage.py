@@ -1,0 +1,76 @@
+"""Generated damage to each input file of the staged subcommands: whatever
+the damage, ``main()`` returns 0, 2, 3 or 4 and raises nothing.
+
+The damages are the ones a copy, an editor or a truncated transfer makes:
+a cut-off file, a dropped or doubled line, one byte turned into a tab, a
+newline, a CR or a letter, an inserted 0xFF byte, or a repeated byte.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from gofusion.cli import main  # noqa: E402
+from gofusion.synth import make_dataset, write_dataset  # noqa: E402
+
+# subcommand -> (its input flags, its other flags)
+COMMANDS = {
+    "distances": (("obo", "annotations", "expression_a"), ()),
+    "cluster": (("d_e", "d_go"), ("--balancing", "fixed_gamma", "--gamma", "0.5", "--k", "6")),
+    "assign": (("partition", "expression_a", "expression_b"), ()),
+    "infer": (("partition", "obo", "annotations", "truth"), ()),
+    "eval": (("partition", "obo", "annotations", "truth", "inferred", "against"), ()),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, Path]:
+    """A small synth set and the files its fixed-gamma pipeline writes."""
+    root = tmp_path_factory.mktemp("damage")
+    files = write_dataset(make_dataset(seed=3, subgroups_per_family=4), root / "data")
+    out = root / "run"
+    argv = ["pipeline", "--balancing", "fixed_gamma", "--gamma", "0.5", "--k", "6",
+            "--seed", "7", "--out-dir", str(out)]
+    for key in ("obo", "annotations", "expression_a", "expression_b"):
+        argv += [f"--{key.replace('_', '-')}", str(files[key])]
+    assert main(argv) == 0
+    made = {key: out / f"{key}.tsv" for key in ("d_e", "d_go", "partition", "inferred")}
+    return {**files, **made, "against": made["partition"]}
+
+
+@st.composite
+def damaged(draw, good: bytes) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "swap", "0xff", "repeat"]))
+    if kind in ("drop", "duplicate"):
+        lines = good.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i : i + 1] = [] if kind == "drop" else [lines[i]] * 2
+        return b"".join(lines)
+    i = draw(st.integers(0, len(good) - 1))
+    if kind == "truncate":
+        return good[:i]
+    if kind == "swap":
+        return good[:i] + draw(st.sampled_from([b"\t", b"\n", b"\r", b"x"])) + good[i + 1 :]
+    if kind == "0xff":
+        return good[:i] + b"\xff" + good[i:]
+    return good[: i + 1] + good[i:]
+
+
+@settings(deadline=None, max_examples=500)
+@given(data=st.data())
+def test_damaged_input_ends_in_an_exit_code(inputs, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+    keys, extra = COMMANDS[command]
+    target = data.draw(st.sampled_from(keys), label="damaged input")
+    bad = data.draw(damaged(inputs[target].read_bytes()), label="damaged bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {**inputs, target: Path(tmp) / "damaged"}
+        files[target].write_bytes(bad)
+        argv = [command, *extra, "--out-dir", str(Path(tmp) / "out")]
+        for key in keys:
+            argv += [f"--{key.replace('_', '-')}", str(files[key])]
+        assert main(argv) in (0, 2, 3, 4)

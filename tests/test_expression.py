@@ -79,6 +79,15 @@ class TestLoadExpression:
         assert m.genes == ("g1", "g2")
         assert m.conditions == ("c1", "c2")
 
+    def test_same_bits_as_float(self):
+        """``TestReadDistanceTsv.test_same_bits_as_float``'s text, read as
+        expression values: numpy's reader gives ``float()``'s bits."""
+        rng = np.random.default_rng(5)
+        head, body = tsv_text(random_distance_matrix(rng, 40)).split("\n", 1)
+        text = head + "\n" + body.replace("\t0.", "\t+0.0", 7).replace("\t", "\t ", 9)
+        ref = np.array([[float(x) for x in line.split("\t")[1:]] for line in text.splitlines()[1:]])
+        assert load_expression(text).values.tobytes() == ref.tobytes()
+
 
 class TestExpressionDistance:
     def test_euclidean_two_genes(self):
