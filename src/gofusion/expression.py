@@ -265,37 +265,156 @@ def expression_distance_matrix(m: ExpressionMatrix, metric: str = EUCLIDEAN) -> 
     return DistanceMatrix(m.genes, d)
 
 
-# rows per block of write_distance_tsv: its memory is O(block x n)
-TSV_BLOCK_ROWS = 8
+# -- the square TSV writer ------------------------------------------------------
+
+# bytes of the buffers one block of write_distance_tsv holds, and what one
+# cell takes in them: its slot, five pair floats, five floats of work (then
+# five pair indices) and five flags
+_TSV_BLOCK_BYTES = 1 << 18
+_CELL_BYTES = 16 + 40 + 40 + 5
+# and at most this many rows, so that a small matrix goes out in blocks too
+TSV_BLOCK_ROWS = 16
+# A cell's text goes into a slot of eight little-endian uint16, 16 bytes: a
+# tab, the text, NUL padding.  The longest text, "0.000" and ten digits,
+# fills it.
+_U16 = np.dtype("<u2")
+# A value's lead is the count of _EDGES at or below its bit pattern: 0 for
+# -0, 1 for 0, _TINY below 1e-4, then 3 to 6 for the decades [1e-4, 1e-3) to
+# [0.1, 1), and one more for a value that rounds up into the next decade.
+# x * _SCALES[lead] has ten digits before the point: 10**p is exact for
+# p <= 22, so the product is rounded once, by at most 1e-6.
+_EDGES = np.array([0.0, 5e-324, 1e-4, 1e-3, 1e-2, 1e-1]).view(np.int64)
+_SCALES = np.array([0.0, 0.0, 0.0, 1e13, 1e12, 1e11, 1e10])
+_TINY = 2
+# a scaled value this close to a rounding tie goes to Python's "%.10g", which
+# rounds half to even.  Half-integers below 2**52 are doubles and rounding is
+# monotone, so only an exact .5 could be on the wrong side: the rest is margin
+_NEAR_TIE = 1e-5
+# N's ten digits are five pairs, N // _PAIR_DIVISORS % 100
+_PAIR_DIVISORS = np.array([1e8, 1e6, 1e4, 1e2, 1.0])[:, None]
+# a cell that Python formats holds this until its text is spliced in
+_PLACEHOLDER = "\x01"
+
+
+def _u16s(text: str, size: int) -> np.ndarray:
+    return np.frombuffer(text.encode().ljust(2 * size, b"\0"), dtype=_U16)
+
+
+# "00" to "99", then the same with trailing zeros NUL, for a pair with only
+# zeros after it: 400 bytes
+_TWO_DIGITS = np.concatenate(
+    [_u16s(f"{p:02d}".rstrip("0" if strip else ""), 1) for strip in (0, 1) for p in range(100)]
+)
+# a slot's first three uint16, by lead; a zero's digits are all cut
+_LEADS = np.stack(
+    [_u16s(t, 3) for t in ("\t-0", "\t0", "\t", "\t0.000", "\t0.00", "\t0.0", "\t0.", "\t")],
+    axis=1,
+)
+_PYTHON_SLOT = _u16s("\t" + _PLACEHOLDER, 8)[:, None]
+
+
+class _TenDigitFormatter:
+    """Buffers that format up to ``cells`` values of ``[-0.0, 1]`` as
+    ``"%.10g"``, a block of rows at a time, with no Python call per value.
+
+    A value in ``[1e-4, 1)`` is scaled by the power of ten that gives its
+    decade ten digits before the point and rounded to the nearest integer N.
+    An N of 10**10 moves up a decade as 10**9 (0.99999999995 prints ``1``).
+    The text is the lead, "0." and the decade's zeros, then N's digits two
+    at a time from ``_TWO_DIGITS`` with the trailing zeros cut.  A zero is
+    its lead, ``0`` or ``-0``.  Python formats the rest, a value at a time:
+    a value below 1e-4 that is not zero (``1e-05``, ``4.940656458e-324``)
+    and one whose scaled fraction is within ``_NEAR_TIE`` of .5.
+    """
+
+    def __init__(self, cells: int):
+        self.pairs = np.empty((5, cells))
+        self.work = np.empty((5, cells))
+        self.flags = np.ones((5, cells), bool)
+        self.slots = np.empty((8, cells), _U16)
+
+    def rows(self, block: np.ndarray) -> list[str]:
+        """The text of each row of ``block``: its cells, tab-separated."""
+        x = block.ravel()
+        c = x.size
+        pairs, work, flags, slots = (a[:, :c] for a in (self.pairs, self.work, self.flags, self.slots))
+        y, n = work[0], work[1]
+        lead = np.searchsorted(_EDGES, x.view(np.int64), side="right")
+        # mode="clip" lets take write into out without a buffer; every index
+        # is in range
+        _SCALES.take(lead, out=y, mode="clip")
+        np.multiply(y, x, out=y)
+        np.rint(y, out=n)
+        np.subtract(y, n, out=y)
+        np.abs(y, out=y)
+        # the first two rows of flags are masks until the strip flags below
+        python, tiny = flags[0], flags[1]
+        np.greater(y, 0.5 - _NEAR_TIE, out=python)
+        np.equal(lead, _TINY, out=tiny)
+        python |= tiny
+        odd = np.flatnonzero(python)
+        carry = flags[0]
+        np.greater_equal(n, 1e10, out=carry)
+        lead += carry
+        np.subtract(n, 9e9, out=n, where=carry)
+        _LEADS.take(lead, axis=1, out=slots[:3], mode="clip")
+        del lead  # freed before the text is built
+        # the pairs, and which have only zeros after them: those take the text
+        # with trailing zeros cut (the last row of flags is always true)
+        np.divide(n, _PAIR_DIVISORS, out=pairs)
+        np.floor(pairs, out=pairs)
+        np.multiply(pairs[:-1], 100.0, out=work[1:])
+        np.subtract(pairs[1:], work[1:], out=pairs[1:])
+        np.equal(pairs[1:], 0.0, out=flags[:-1])
+        for j in (2, 1, 0):
+            flags[j] &= flags[j + 1]
+        np.add(pairs, 100.0, out=pairs, where=flags)
+        index = work.view(np.intp)
+        np.copyto(index, pairs, casting="unsafe")
+        _TWO_DIGITS.take(index, out=slots[3:], mode="clip")
+        slots[:, odd] = _PYTHON_SLOT
+        slots[0, :: block.shape[1]] ^= ord("\t") ^ ord("\n")
+        text = slots.T.tobytes().translate(None, b"\0").decode("ascii")
+        if len(odd):
+            parts = text.split(_PLACEHOLDER)
+            joined = [""] * (2 * len(parts) - 1)
+            joined[::2] = parts
+            joined[1::2] = ["%.10g" % v for v in x[odd].tolist()]
+            text = "".join(joined)
+        return text.split("\n")[1:]
 
 
 def write_distance_tsv(dm: DistanceMatrix, f: TextIO) -> None:
     """Write the full square matrix to the text file ``f`` as TSV, with a
     gene-id header row and column.
 
-    Each cell is ``f"{v:.10g}"``.  Rows go out in blocks of
-    ``TSV_BLOCK_ROWS``, so no whole-matrix key, string or joined copy is
-    made.  Within a block, values are told apart by their bit patterns, not
-    by ``==``, so a ``-0.0`` cell still prints ``-0`` next to a ``0.0`` one.
-    A block with few distinct values formats each of them once and looks
-    the cells up; one whose values are mostly distinct formats its cells
-    row by row with ``"%.10g"``, the same float formatter, which is cheaper
-    there than the lookup.
+    Each cell is ``f"{v:.10g}"``, as ``_TenDigitFormatter`` formats it.  Rows go
+    out in blocks of at most ``TSV_BLOCK_ROWS`` rows whose buffers take at
+    most ``_TSV_BLOCK_BYTES`` (one row at least), so no whole-matrix key,
+    string or joined copy is made.  A block with few distinct values, told
+    apart by their bit patterns, formats each of them once and gathers the
+    cells' texts from them; one whose values are mostly distinct formats its
+    cells.  Once a block is found mostly distinct, the later blocks format
+    their cells without counting their values: the bytes are the same
+    either way, and on such a matrix the count costs more than it saves.
     """
     n = len(dm.genes)
     f.write("gene_id\t" + "\t".join(dm.genes) + "\n")
-    row_format = "%s" + "\t%.10g" * n + "\n"
-    for start in range(0, n, TSV_BLOCK_ROWS):
-        block = dm.d[start : start + TSV_BLOCK_ROWS]
-        keys, inv = np.unique(block.view(np.int64), return_inverse=True)
-        genes = dm.genes[start : start + TSV_BLOCK_ROWS]
-        if 2 * len(keys) > block.size:
-            for g, row in zip(genes, block):
-                f.write(row_format % (g, *row.tolist()))
+    rows = max(1, min(TSV_BLOCK_ROWS, _TSV_BLOCK_BYTES // (_CELL_BYTES * n)))
+    digits = _TenDigitFormatter(rows * n)
+    distinct = False
+    for start in range(0, n, rows):
+        block = dm.d[start : start + rows]
+        if not distinct:
+            keys, inv = np.unique(block.view(np.int64), return_inverse=True)
+            distinct = 2 * len(keys) > block.size
+        if distinct:
+            lines = digits.rows(block)
         else:
-            texts = [f"{v:.10g}" for v in keys.view(np.float64).tolist()]
-            for g, row in zip(genes, inv.reshape(block.shape)):
-                f.write(g + "\t" + "\t".join(map(texts.__getitem__, row.tolist())) + "\n")
+            texts = np.array([f"{v:.10g}" for v in keys.view(np.float64).tolist()], dtype=object)
+            lines = ["\t".join(row) for row in texts[inv.reshape(block.shape)].tolist()]
+        for g, line in zip(dm.genes[start : start + rows], lines):
+            f.write(f"{g}\t{line}\n")
 
 
 def read_distance_tsv(data: bytes | str) -> DistanceMatrix:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gofusion.cli as cli
+import gofusion.expression as expression
 from gofusion.errors import DegenerateError, ParseError, ValidationError
 from gofusion.expression import (
     EUCLIDEAN,
@@ -216,8 +217,11 @@ def _reference_write(dm):
 
 WIDE = mirrored(np.triu(np.random.default_rng(8).random((9, 9)), 1))
 BLOCK = TSV_BLOCK_ROWS
-# around the block edges: one row, a block and a bit, two blocks and a row
-EDGE_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+# the most genes for which a block still holds BLOCK rows within the budget
+WIDEST = expression._TSV_BLOCK_BYTES // (expression._CELL_BYTES * BLOCK)
+# around the block edges: one row, a block and a bit, two blocks and a row,
+# and the widest matrix with full blocks and one gene more
+EDGE_SIZES = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, WIDEST, WIDEST + 1)
 
 
 def _signed_zeros_at_block_edge(distinct):
@@ -230,6 +234,16 @@ def _signed_zeros_at_block_edge(distinct):
     for row in (BLOCK - 1, BLOCK):
         u[row, row + 1 :: 2] = -0.0
         u[row, row + 2 :: 2] = 0.0
+    return mirrored(np.triu(u, 1))
+
+
+def _mixed_blocks(n):
+    """Rows with three values, then rows of distinct values, then three
+    values again: the blocks after the first distinct one are formatted
+    cell by cell, ties and all."""
+    rng = np.random.default_rng(n)
+    u = rng.integers(0, 3, (n, n)) / 2
+    u[n // 3 : 2 * n // 3] = rng.random((2 * n // 3 - n // 3, n))
     return mirrored(np.triu(u, 1))
 
 
@@ -301,6 +315,50 @@ class TestWriteDistanceTsv:
             tracemalloc.stop()
         assert peak < dm.d.nbytes / 4
 
+    @pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "ties"])
+    def test_memory_is_per_block_when_one_row_fills_it(self, distinct):
+        """At 2,000 genes one row of buffers takes most of the byte budget:
+        the peak is a few blocks' buffers, not a share of the matrix."""
+        n = 2000
+        rng = np.random.default_rng(4)
+        u = rng.random((n, n)) if distinct else rng.integers(0, 5, (n, n)) / 4
+        dm = mirrored(np.triu(u, 1))
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            write_distance_tsv(dm, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dm.d.nbytes / 4
+        assert peak < 3 * max(expression._TSV_BLOCK_BYTES, expression._CELL_BYTES * n)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("slack", [-1, 0], ids=["budget-less-one", "budget"])
+    @pytest.mark.parametrize(
+        "dm",
+        [
+            mirrored(np.triu(np.random.default_rng(14).random((11, 11)), 1)),
+            mirrored(np.triu(np.random.default_rng(15).integers(0, 3, (11, 11)) / 2, 1)),
+            _mixed_blocks(11),
+            _signed_zeros_at_block_edge(distinct=True),
+            _signed_zeros_at_block_edge(distinct=False),
+        ],
+        ids=["distinct", "ties", "ties-then-distinct", "signed-zeros-distinct",
+             "signed-zeros-ties"],
+    )
+    def test_same_bytes_at_any_block_budget(self, dm, rows, slack, monkeypatch):
+        """Budgets of one, two and three rows and one byte less: every block
+        edge falls somewhere else, one row a block when the budget is under a
+        row."""
+        n = len(dm.genes)
+        monkeypatch.setattr(expression, "_TSV_BLOCK_BYTES", rows * n * expression._CELL_BYTES + slack)
+        assert tsv_text(dm) == _reference_write(dm)
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -315,6 +373,78 @@ class TestWriteDistanceTsv:
         assert len(written) == 3  # d_e, d_go, d_gamma
         for dm in written:
             assert tsv_text(dm) == _reference_write(dm)
+
+
+def _ten_digits(values):
+    """What ``_TenDigitFormatter`` writes for ``values``, one text per value."""
+    x = np.array(values, dtype=float)
+    return expression._TenDigitFormatter(x.size).rows(x[None])[0].split("\t")
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)])
+
+
+def _midpoints(p):
+    """The decimal midpoints (N + 0.5) / 10**p of 2,000 ten-digit N: ties at
+    the tenth digit in the decade 10**(9 - p), below 1e-4 for p = 14."""
+    n = np.random.default_rng(p).integers(10**9, 10**10, 2000)
+    return (n + 0.5) / 10.0**p
+
+
+def _near_midpoint(n, p, toward):
+    """(n + 0.5) / 10**p, or the float next to it toward ``toward``."""
+    v = (n + 0.5) / 10.0**p
+    return v if toward is None else float(np.nextafter(v, toward))
+
+
+TEN_DIGIT_CASES = {
+    **{f"midpoints-p{p}": _with_neighbours(_midpoints(p)) for p in range(10, 15)},
+    "powers-of-ten": _with_neighbours(10.0 ** -np.arange(0, 301)),
+    "decade-carries": _with_neighbours([0.99999999995, 0.0099999999995, 9.9999999995e-05]),
+    "tiny": [1e-100, 5e-324, 1e-310, 1e-5, 9.99999999e-05],
+    "zeros-and-one": [0.0, -0.0, 1.0, -0.0, 0.5],
+    "uniform": np.random.default_rng(16).random(5000),
+    "small-decades": np.random.default_rng(17).random(5000) ** 6,
+}
+
+
+class TestTenDigitFormatter:
+    @pytest.mark.parametrize("values", TEN_DIGIT_CASES.values(), ids=TEN_DIGIT_CASES.keys())
+    def test_same_text_as_python(self, values):
+        values = np.asarray(values, dtype=float)
+        assert _ten_digits(values) == ["%.10g" % v for v in values.tolist()]
+
+    def test_property_same_text_as_python(self):
+        """Any float of [0, 1], subnormals and -0.0 too, and the values on
+        and next to a decimal midpoint, where the rounding is decided."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        midpoint = st.builds(
+            _near_midpoint,
+            st.integers(10**9, 10**10 - 1),
+            st.integers(10, 14),
+            st.sampled_from([None, 0.0, 1.0]),
+        )
+        value = st.one_of(st.floats(0.0, 1.0, allow_subnormal=True), st.just(-0.0), midpoint)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(value, min_size=1, max_size=40))
+        def same_text(values):
+            assert _ten_digits(values) == ["%.10g" % v for v in values]
+
+        same_text()
+
+    def test_cells_python_formats_are_spliced_in_place(self):
+        """Values Python formats, at the first and last cells of rows and
+        next to each other, land where their cells are."""
+        values = np.random.default_rng(18).random((3, 6))
+        values[0, 0] = 1e-5
+        values[1, 4:] = [5e-324, 1.5e-7]
+        values[2, 0] = 0.12345678905
+        rows = expression._TenDigitFormatter(values.size).rows(values)
+        assert rows == ["\t".join("%.10g" % v for v in row) for row in values.tolist()]
 
 
 @pytest.mark.parametrize("metric", METRICS)
