@@ -87,6 +87,8 @@ BALANCINGS = ("percentile", "gamma_tuning", "fixed_gamma")
 
 # rows of a distance matrix per histogram call
 _HISTOGRAM_ROWS = 128
+# equal bins of [0, 1] in each ``hist_*.csv``
+_HISTOGRAM_BINS = 50
 
 _CHOICES = {
     "metric": METRICS,
@@ -329,12 +331,13 @@ def _load_partition_inputs(
     return o, corpus, part
 
 
-def _histogram_csv(dm: DistanceMatrix, bins: int = 50) -> str:
-    """Counts of the strict upper triangle's values in ``bins`` equal bins
-    of [0, 1], taken over blocks of rows: each value's bin depends on that
-    value alone, so the blocks' integer counts add up to the same numbers."""
+def _histogram_csv(dm: DistanceMatrix) -> str:
+    """Counts of the strict upper triangle's values in ``_HISTOGRAM_BINS``
+    equal bins of [0, 1], taken over blocks of rows: each value's bin depends
+    on that value alone, so the blocks' integer counts add up to the same numbers."""
     n = len(dm.genes)
     upper = upper_triangle(n)
+    bins = _HISTOGRAM_BINS
     counts = np.zeros(bins, dtype=np.int64)
     for lo in range(0, n, _HISTOGRAM_ROWS):
         rows = slice(lo, lo + _HISTOGRAM_ROWS)

@@ -265,9 +265,15 @@ def assign_b(p: Partition, d_expr: DistanceMatrix) -> Partition:
     medoid_idx = [d_expr.index_of(cl.medoid) for cl in p.clusters]
     b_idx = [i for i, g in enumerate(d_expr.genes) if g not in a_genes]
     nearest = d_expr.d[np.ix_(b_idx, medoid_idx)].argmin(axis=1)
+    return with_members_b(p, [d_expr.genes[i] for i in b_idx], nearest.tolist())
+
+
+def with_members_b(p: Partition, genes: list[GeneId], labels: list[int]) -> Partition:
+    """``p`` with new B members: ``genes[i]`` joins cluster ``labels[i]``,
+    and a cluster no gene joins has none."""
     new_b: list[set[GeneId]] = [set() for _ in p.clusters]
-    for i, ci in zip(b_idx, nearest.tolist()):
-        new_b[ci].add(d_expr.genes[i])
+    for g, ci in zip(genes, labels):
+        new_b[ci].add(g)
     clusters = tuple(
         Cluster(cl.medoid, cl.members_a, frozenset(new_b[i]))
         for i, cl in enumerate(p.clusters)

@@ -11,14 +11,12 @@ the other half back by expression, and scoring semantic compactness.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import PAM_BUILD, Cluster, Partition, cluster_a
+from .clustering import PAM_BUILD, Partition, cluster_a, with_members_b
 from .errors import ConfigError
 from .expression import (
     EUCLIDEAN,
@@ -147,12 +145,9 @@ class TuningReport:
         ) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["gamma", "mean_sc"])
-        for g, sc in zip(self.grid, self.sc_curve):
-            w.writerow([f"{g:.10g}", f"{sc:.10g}"])
-        return buf.getvalue()
+        # %.10g never writes a comma, quote or newline, so nothing is quoted
+        rows = [f"{g:.10g},{sc:.10g}\n" for g, sc in zip(self.grid, self.sc_curve)]
+        return "gamma,mean_sc\n" + "".join(rows)
 
 
 def _centroid_assign(
@@ -191,14 +186,7 @@ def _centroid_assign(
         held.raw_distances(slice(lo, lo + _HELD_ROWS), centroids).argmin(axis=1)
         for lo in range(0, len(held_out), _HELD_ROWS)
     ])
-    assigned: list[set[str]] = [set() for _ in part.clusters]
-    for g, ci in zip(held_out, nearest.tolist()):
-        assigned[ci].add(g)
-    clusters = tuple(
-        Cluster(cl.medoid, cl.members_a, frozenset(assigned[i]))
-        for i, cl in enumerate(part.clusters)
-    )
-    return Partition(clusters, part.k, part.total_cost)
+    return with_members_b(part, held_out, nearest.tolist())
 
 
 def tune_gamma(

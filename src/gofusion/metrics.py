@@ -75,13 +75,11 @@ def bhi(p: Partition, c: AnnotationCorpus) -> float:
     return total / len(p.clusters)
 
 
-def bc(p: Partition, d_go: DistanceMatrix, literal_normalization: bool = False) -> float:
+def bc(p: Partition, d_go: DistanceMatrix) -> float:
     """Average within-cluster mean pairwise semantic distance.
 
-    The default normalizes per cluster by the number of ordered pairs,
-    which keeps the value in [0, 1].  ``literal_normalization`` divides the
-    double sum by the cluster size instead (an auditing mode; it exceeds 1
-    for clusters of three or more genes).
+    Each cluster's pair sum is divided by its number of ordered pairs,
+    which keeps the value in [0, 1].
     """
     if not p.clusters:
         raise AlignmentError("empty partition")
@@ -93,11 +91,7 @@ def bc(p: Partition, d_go: DistanceMatrix, literal_normalization: bool = False) 
             continue
         idx = [d_go.index_of(g) for g in genes]
         sub = d_go.d[np.ix_(idx, idx)]
-        pair_sum = float(sub.sum())  # diagonal is zero
-        if literal_normalization:
-            total += pair_sum / s
-        else:
-            total += pair_sum / (s * (s - 1))
+        total += float(sub.sum()) / (s * (s - 1))  # diagonal is zero
     return total / len(p.clusters)
 
 

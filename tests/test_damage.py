@@ -3,7 +3,10 @@ the damage, ``main()`` returns 0, 2, 3 or 4 and raises nothing.
 
 The damages are the ones a copy, an editor or a truncated transfer makes:
 a cut-off file, a dropped or doubled line, one byte turned into a tab, a
-newline, a CR or a letter, an inserted 0xFF byte, or a repeated byte.
+newline, a CR or a letter, an inserted 0xFF byte, or a repeated byte.  The
+GO-shaped ontology also gets well-formed damage to its structure: a moved
+stanza, an ``is_a`` to the other namespace's root, a term moved to another
+namespace, or an obsolete parent.
 """
 
 import tempfile
@@ -16,6 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gofusion.cli import main  # noqa: E402
 from gofusion.synth import make_dataset, write_dataset  # noqa: E402
+
+from conftest import perfbench_godag  # noqa: E402
 
 # subcommand -> (its input flags, its other flags)
 COMMANDS = {
@@ -73,4 +78,52 @@ def test_damaged_input_ends_in_an_exit_code(inputs, data):
         argv = [command, *extra, "--out-dir", str(Path(tmp) / "out")]
         for key in keys:
             argv += [f"--{key.replace('_', '-')}", str(files[key])]
+        assert main(argv) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def godag_inputs(tmp_path_factory) -> dict[str, Path]:
+    return perfbench_godag().write_godag(1, tmp_path_factory.mktemp("godag"))
+
+
+@st.composite
+def restructured(draw, obo: str) -> str:
+    """``obo`` with one structural change; every line stays well formed."""
+    godag = perfbench_godag()
+    head, *stanzas = obo.split("\n\n")
+    kind = draw(st.sampled_from(["move", "retarget", "namespace", "obsolete"]))
+    if kind == "move":
+        stanza = stanzas.pop(draw(st.integers(0, len(stanzas) - 1)))
+        stanzas.insert(draw(st.integers(0, len(stanzas))), stanza)
+        return "\n\n".join([head, *stanzas])
+    children = [i for i, s in enumerate(stanzas) if "\nis_a: " in s]
+    i = children[draw(st.integers(0, len(children) - 1))]
+    if kind == "retarget":
+        lines = stanzas[i].split("\n")
+        edges = [j for j, line in enumerate(lines) if line.startswith("is_a: ")]
+        lines[draw(st.sampled_from(edges))] = f"is_a: {godag.MF_ROOT}"
+        stanzas[i] = "\n".join(lines)
+    elif kind == "namespace":
+        other = draw(st.sampled_from([godag.MF, "cellular_component"]))
+        stanzas[i] = stanzas[i].replace(f"namespace: {godag.BP}", f"namespace: {other}")
+    else:
+        parent = draw(st.sampled_from(
+            [line[6:] for line in stanzas[i].split("\n") if line.startswith("is_a: ")]
+        ))
+        j = next(j for j, s in enumerate(stanzas) if s.startswith(f"[Term]\nid: {parent}\n"))
+        stanzas[j] += "\nis_obsolete: true"
+    return "\n\n".join([head, *stanzas])
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_restructured_ontology_ends_in_an_exit_code(godag_inputs, data):
+    obo = data.draw(restructured(godag_inputs["obo"].read_text()), label="restructured obo")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "go.obo"
+        path.write_text(obo)
+        argv = ["distances", "--obo", str(path), "--metric", "pearson",
+                "--annotations", str(godag_inputs["annotations"]),
+                "--expression-a", str(godag_inputs["expression_a"]),
+                "--out-dir", str(Path(tmp) / "out")]
         assert main(argv) in (0, 2, 3, 4)

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -260,6 +262,25 @@ class TestTuneGamma:
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "gamma,mean_sc"
         assert len(csv_text.splitlines()) == len(report.grid) + 1
+
+
+def test_report_csv_same_bytes_as_csv_writer():
+    """``to_csv`` writes what ``csv.writer`` writes for the same cells, on
+    values whose ``%.10g`` text is odd: nan, a signed zero, exponent form,
+    and a value just under a rounding tie."""
+    values = (0.0, float("nan"), -0.0, 1e-05, 0.99999999995, 0.25, 1.0)
+    report = TuningReport(
+        grid=values, sc_runs=((0.5,),) * len(values), sc_curve=values[::-1],
+        best_gamma=0.0, seed=1, split=0.5,
+    )
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["gamma", "mean_sc"])
+    for g, sc in zip(report.grid, report.sc_curve):
+        w.writerow([f"{g:.10g}", f"{sc:.10g}"])
+    assert report.to_csv() == buf.getvalue()
+    cells = set(buf.getvalue().replace("\n", ",").split(","))
+    assert {"nan", "-0", "1e-05", "0.9999999999"} <= cells
 
 
 def test_best_gamma_tie_breaks_to_smallest(monkeypatch):

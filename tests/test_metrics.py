@@ -142,12 +142,6 @@ class TestBC:
         p = part(Cluster("x", frozenset({"x", "y"})), Cluster("u", frozenset({"u", "v"})))
         assert bc(p, d) == pytest.approx(0.4)
 
-    def test_literal_normalization_exceeds_one(self):
-        genes = ("x", "y", "z")
-        d = toy_distance({("x", "y"): 1.0, ("x", "z"): 1.0, ("y", "z"): 1.0}, genes)
-        p = part(Cluster("x", frozenset(genes)))
-        assert bc(p, d, literal_normalization=True) == pytest.approx(2.0)
-
     def test_merging_distant_clusters_never_decreases(self):
         genes = ("x", "y", "u", "v")
         d = toy_distance(
