@@ -53,6 +53,7 @@ class LoadDiagnostics:
     rows_duplicate: int = 0
     genes_dropped_empty: int = 0
     genes_root_only: int = 0
+    terms_other_namespace: int = 0  # propagated terms outside the namespace
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,14 @@ def build_corpus(
     ic[root] = 0.0
     if root_only:
         logger.info("%d genes are annotated only to the namespace root", root_only)
+    other = [t for t in prop if o.terms[t].namespace != namespace]
+    if other:
+        logger.warning("propagated terms outside %s: %d, first %s (%s)",
+                       namespace, len(other), other[0], o.terms[other[0]].namespace)
     diags = dataclasses.replace(
-        diagnostics or LoadDiagnostics(), genes_root_only=root_only
+        diagnostics or LoadDiagnostics(),
+        genes_root_only=root_only,
+        terms_other_namespace=len(other),
     )
     return AnnotationCorpus(
         direct={g: frozenset(ts) for g, ts in direct.items()},

@@ -39,7 +39,6 @@ from .clustering import (
     PAM_BUILD,
     Cluster,
     Partition,
-    SEEDINGS,
     assign_b,
     assigned_subpartition,
     cluster_a,
@@ -95,7 +94,6 @@ _CHOICES = {
     "similarity": SIMILARITY_KINDS,
     "balancing": BALANCINGS,
     "correction": CORRECTIONS,
-    "seeding": SEEDINGS,
 }
 
 
@@ -119,7 +117,6 @@ class PipelineConfig:
     similarity: str = "relevance"
     balancing: str = "gamma_tuning"
     correction: str = "none"
-    seeding: str = PAM_BUILD
     gamma: float | None = None
     grid_step: float = 0.05
     split: float = 0.5
@@ -219,6 +216,16 @@ def _coerce(key: str, value) -> object:
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
+def _removed_option(key: str, value: object) -> bool:
+    """Whether ``key`` is ``seeding``, which chose the medoid build until
+    ``pam_build`` was the only one; an older manifest or config file that
+    sets it to another value is a ConfigError."""
+    if key == "seeding" and value != PAM_BUILD:
+        raise ConfigError(f"seeding {value!r} was removed: the literal build score "
+                          f"is gone, and medoids are built with {PAM_BUILD!r} only")
+    return key == "seeding"
+
+
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """Layer defaults < manifest < config file < CLI flags."""
     values: dict[str, object] = {}
@@ -232,7 +239,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         if not isinstance(config, dict):
             raise ConfigError(f"manifest {manifest_path} has no config object")
         for key, v in config.items():
-            if v is None:  # an unset option, also one this version no longer has
+            # None: an unset option, also one this version no longer has
+            if v is None or _removed_option(key, v):
                 continue
             if key not in _OPTION_TYPES:
                 raise ConfigError(f"manifest {manifest_path} sets unknown option {key!r}")
@@ -243,6 +251,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from None
         for key, v in raw.items():
+            if _removed_option(key, v):
+                continue
             if key not in _OPTION_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _coerce(key, v)
@@ -422,7 +432,6 @@ def _tune(
         split=cfg.split,
         seed=cfg.seed,
         metric=cfg.metric,
-        seeding=cfg.seeding,
     )
     _write(cfg.out_dir, "tuning.json", report.to_json())
     _write(cfg.out_dir, "tuning.csv", report.to_csv())
@@ -607,7 +616,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         end_stage("ok")
 
         stage = "cluster"
-        part = cluster_a(d_gamma, cfg.k, cfg.seeding)
+        part = cluster_a(d_gamma, cfg.k)
         del d_gamma
         end_stage("ok")
 
@@ -618,7 +627,6 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             "cluster_meta.json",
             partition_metadata(
                 part,
-                cfg.seeding,
                 gamma_used,
                 extra={"balancing": cfg.balancing, "ontology_digest": o.source_digest},
             ),
@@ -686,12 +694,12 @@ def cmd_cluster(cfg: PipelineConfig) -> None:
     held_e = [read_distance_tsv(_read(cfg, "d_e"))]
     d_go = read_distance_tsv(_read(cfg, "d_go"))
     gamma_used, d_gamma = _fuse(cfg, held_e, d_go)
-    part = cluster_a(d_gamma, cfg.k, cfg.seeding)
+    part = cluster_a(d_gamma, cfg.k)
     _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
     _write(
         cfg.out_dir,
         "cluster_meta.json",
-        partition_metadata(part, cfg.seeding, gamma_used, extra={"balancing": cfg.balancing}),
+        partition_metadata(part, gamma_used, extra={"balancing": cfg.balancing}),
     )
 
 
@@ -749,10 +757,10 @@ COMMANDS = {
     "distances": ("expression and semantic distance matrices", cmd_distances,
                   (*_LOAD_A, "out_dir", "metric", "similarity")),
     "tune-gamma": ("grid-search the gamma weight", cmd_tune_gamma,
-                   (*_LOAD_A, "out_dir", "metric", "similarity", "seeding", "grid_step",
+                   (*_LOAD_A, "out_dir", "metric", "similarity", "grid_step",
                     "split", "k", "runs", "seed")),
     "cluster": ("cluster annotated genes on the fused distance", cmd_cluster,
-                ("d_e", "d_go", "out_dir", "balancing", "seeding", "gamma", "m", "k")),
+                ("d_e", "d_go", "out_dir", "balancing", "gamma", "m", "k")),
     "assign": ("attach unannotated genes to clusters", cmd_assign,
                ("expression_a", "expression_b", "partition", "out_dir", "metric", "balancing",
                 "m")),

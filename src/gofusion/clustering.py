@@ -7,13 +7,8 @@ build step, then refine with strict-improvement swaps until no single
 are then attached to the cluster whose medoid is nearest in expression
 distance.
 
-Two build scorings are provided.  ``pam_build`` (default) scores a
-candidate by the total cost reduction it brings, which matches both the
-classical build heuristic and the intent that a new medoid be closer to
-more genes than the existing ones.  ``literal`` keeps the alternative
-printed scoring, argmax of sum(d(j, i) - nearest(j)), for fidelity
-experiments; it tends to pick outliers.  The mode used is recorded in
-cluster metadata.
+The build is the classical PAM BUILD (``pam_build``, recorded in cluster
+metadata): a candidate scores the total cost reduction it brings.
 """
 
 from __future__ import annotations
@@ -27,10 +22,8 @@ from .errors import ConfigError, ParseError, ValidationError
 from .expression import DistanceMatrix, GeneId, tsv_rows
 
 PAM_BUILD = "pam_build"
-LITERAL = "literal"
-SEEDINGS = (PAM_BUILD, LITERAL)
 
-# gain rows ``pam_build`` recomputes at once, which bounds its temporary
+# gain rows the build recomputes at once, which bounds its temporary
 _GAIN_ROWS = 64
 
 
@@ -92,45 +85,35 @@ def initial_medoid(d: np.ndarray) -> int:
     return int(d.sum(axis=1).argmin())
 
 
-def build_medoids(d: np.ndarray, k: int, seeding: str = PAM_BUILD) -> list[int]:
+def build_medoids(d: np.ndarray, k: int) -> list[int]:
     """Greedy growth from the initial medoid to k medoids.
 
     Each gene's distance to its nearest medoid is lowered in place as
-    medoids are added.  ``pam_build`` keeps its gains for all rows in one
-    n x n buffer: a medoid row's gains are zeros, and a zero added to a
-    column sum whose terms are all >= 0 leaves the sum as it was, so the
-    medoid rows need not be left out.  A row's gains depend only on its own
-    nearest distance, so after each added medoid only the rows whose nearest
-    distance fell, found by one ``col < nearest`` before the in-place
-    minimum, are recomputed.  A nearest distance that only turns from 0.0 to
-    -0.0 keeps its row, whose gains ``max(nearest - d, 0.0)`` are 0.0 for
-    either zero.  ``literal`` terms can be negative, so its medoid rows are
-    set to zero before the sum.
+    medoids are added.  The gains of all rows are kept in one n x n buffer:
+    a medoid row's gains are zeros, and a zero added to a column sum whose
+    terms are all >= 0 leaves the sum as it was, so the medoid rows need not
+    be left out.  A row's gains depend only on its own nearest distance, so
+    after each added medoid only the rows whose nearest distance fell, found
+    by one ``col < nearest`` before the in-place minimum, are recomputed.  A
+    nearest distance that only turns from 0.0 to -0.0 keeps its row, whose
+    gains ``max(nearest - d, 0.0)`` are 0.0 for either zero.
     """
     n = d.shape[0]
-    if seeding not in SEEDINGS:
-        raise ConfigError(f"unknown seeding mode {seeding!r}")
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range for {n} genes")
     medoids = [initial_medoid(d)]
     nearest = d[:, medoids[0]].copy()
     in_gamma = np.zeros(n, dtype=bool)
     in_gamma[medoids[0]] = True
-    if seeding == PAM_BUILD:
-        gains = np.empty_like(d, order="C")  # one buffer for every round
-        changed = np.arange(n)
+    gains = np.empty_like(d, order="C")  # one buffer for every round
+    changed = np.arange(n)
     while len(medoids) < k:
-        if seeding == PAM_BUILD:
-            for lo in range(0, changed.size, _GAIN_ROWS):
-                rows = changed[lo : lo + _GAIN_ROWS]
-                block = d[rows]
-                np.subtract(nearest[rows, None], block, out=block)
-                gains[rows] = np.maximum(block, 0.0, out=block)
-            scores = np.add.reduce(gains, axis=0) - np.maximum(nearest, 0.0)
-        else:
-            diff = d - nearest[:, None]
-            diff[in_gamma, :] = 0.0
-            scores = diff.sum(axis=0) + nearest
+        for lo in range(0, changed.size, _GAIN_ROWS):
+            rows = changed[lo : lo + _GAIN_ROWS]
+            block = d[rows]
+            np.subtract(nearest[rows, None], block, out=block)
+            gains[rows] = np.maximum(block, 0.0, out=block)
+        scores = np.add.reduce(gains, axis=0) - np.maximum(nearest, 0.0)
         scores[in_gamma] = -np.inf
         x = int(scores.argmax())
         medoids.append(x)
@@ -224,9 +207,7 @@ def swap_refine(d: np.ndarray, medoids: list[int]) -> list[int]:
     return sorted(slot_of)
 
 
-def cluster_a(
-    d_gamma: DistanceMatrix, k: int, seeding: str = PAM_BUILD
-) -> Partition:
+def cluster_a(d_gamma: DistanceMatrix, k: int) -> Partition:
     """Cluster the annotated genes around k medoids on the fused distance.
 
     k=1 is allowed (it exercises the seed step alone); every argmin/argmax
@@ -234,7 +215,7 @@ def cluster_a(
     function of the input matrix.
     """
     d = d_gamma.d
-    medoids = build_medoids(d, k, seeding)
+    medoids = build_medoids(d, k)
     medoids = swap_refine(d, medoids)
     return _partition_from_medoids(d_gamma, medoids)
 
@@ -348,17 +329,14 @@ def read_partition_tsv(data: bytes | str) -> Partition:
     return Partition(tuple(clusters), k=n_clusters, total_cost=0.0)
 
 
-def partition_metadata(
-    p: Partition, seeding: str, gamma: float | None, extra: dict | None = None
-) -> str:
+def partition_metadata(p: Partition, gamma: float | None, extra: dict) -> str:
     meta = {
         "k": p.k,
-        "seeding": seeding,
+        "seeding": PAM_BUILD,
         "total_cost": p.total_cost,
         "gamma": gamma,
         "cluster_sizes_a": [len(cl.members_a) for cl in p.clusters],
         "cluster_sizes_b": [len(cl.members_b) for cl in p.clusters],
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     return json.dumps(meta, sort_keys=True, indent=2) + "\n"

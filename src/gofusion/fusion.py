@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import PAM_BUILD, Partition, cluster_a, with_members_b
+from .clustering import Partition, cluster_a, with_members_b
 from .errors import ConfigError
 from .expression import (
     EUCLIDEAN,
@@ -199,7 +199,6 @@ def tune_gamma(
     split: float = 0.5,
     seed: int = 0,
     metric: str = EUCLIDEAN,
-    seeding: str = PAM_BUILD,
 ) -> TuningReport:
     """Grid search over gamma, scoring each value by semantic compactness.
 
@@ -252,7 +251,7 @@ def tune_gamma(
         held = sorted(int(i) for i in perm[n1:])
         kept_genes = [genes[i] for i in kept]
         held_genes = [genes[i] for i in held]
-        part = cluster_a(blended.restrict(kept_genes), k, seeding)
+        part = cluster_a(blended.restrict(kept_genes), k)
         part = _centroid_assign(expr, part, held_genes, metric)
         return semantic_compactness(part, d_go)
 

@@ -93,8 +93,6 @@ def make_dataset(
     genes_per_subgroup: int = 4,
     leaves_per_subgroup: int = 4,
     conditions: int = 24,
-    family_scale: float = 1.0,
-    subgroup_scale: float = 1.0,
     noise: float = 1.1,
     b_fraction: float = 0.1,
 ) -> SyntheticDataset:
@@ -109,8 +107,8 @@ def make_dataset(
     family: dict[str, int] = {}
     subgroup: dict[str, int] = {}
     annotations: dict[str, frozenset[TermId]] = {}
-    fam_mean = rng.normal(0.0, family_scale, size=(2, conditions))
-    sub_off = rng.normal(0.0, subgroup_scale, size=(n_subgroups, conditions))
+    fam_mean = rng.normal(0.0, 1.0, size=(2, conditions))
+    sub_off = rng.normal(0.0, 1.0, size=(n_subgroups, conditions))
     rows: list[np.ndarray] = []
     for s in range(n_subgroups):
         f = s % 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gofusion.annotations import build_corpus
-from gofusion.clustering import PAM_BUILD, Cluster, Partition, initial_medoid
+from gofusion.clustering import Cluster, Partition, initial_medoid
 from gofusion.expression import DistanceMatrix, write_distance_tsv
 from gofusion.ontology import parse_obo
 from gofusion.semantic import _ancestor_columns
@@ -118,22 +118,17 @@ def perfbench_godag():
     return godag
 
 
-def reference_build(d, k, seeding):
-    """Greedy build that recomputes every table from scratch each round."""
+def reference_build(d, k):
+    """Greedy PAM build that recomputes every table from scratch each round."""
     n = d.shape[0]
     medoids = [initial_medoid(d)]
     while len(medoids) < k:
         nearest = d[:, medoids].min(axis=1)
         in_gamma = np.zeros(n, dtype=bool)
         in_gamma[medoids] = True
-        if seeding == PAM_BUILD:
-            gains = np.maximum(nearest[:, None] - d, 0.0)
-            gains[in_gamma, :] = 0.0
-            scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
-        else:
-            diff = d - nearest[:, None]
-            diff[in_gamma, :] = 0.0
-            scores = diff.sum(axis=0) + nearest
+        gains = np.maximum(nearest[:, None] - d, 0.0)
+        gains[in_gamma, :] = 0.0
+        scores = gains.sum(axis=0) - np.maximum(nearest, 0.0)
         scores[in_gamma] = -np.inf
         medoids.append(int(scores.argmax()))
     return medoids

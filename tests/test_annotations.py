@@ -158,3 +158,26 @@ def test_header_optional(fixture_ontology):
     tsv = "\n".join(FIXTURE_TSV.splitlines()[1:]) + "\n"
     c = load_annotations(tsv, fixture_ontology, BP)
     assert c.gene_universe_size == 3
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["godag", "term-moved-to-cc"])
+def test_terms_outside_the_namespace_counted(tmp_path, caplog, moved):
+    """A mid-DAG term moved to another namespace keeps its biological-process
+    children's edges into it, so it is propagated to and counted."""
+    from gofusion.ontology import parse_obo
+
+    from conftest import perfbench_godag
+
+    files = perfbench_godag().write_godag(1, tmp_path)
+    obo = files["obo"].read_text()
+    if moved:
+        at = obo.index("namespace: ", obo.index("id: GO:0035195\n"))
+        obo = obo[:at] + obo[at:].replace(f"namespace: {BP}", "namespace: cellular_component", 1)
+    o = parse_obo(obo)
+    with caplog.at_level("WARNING", logger="gofusion.annotations"):
+        c = load_annotations(files["annotations"].read_bytes(), o, BP)
+    assert c.diagnostics.terms_other_namespace == int(moved)
+    assert "GO:0035195" in c.ic
+    warned = [r.getMessage() for r in caplog.records if "outside" in r.getMessage()]
+    expected = f"propagated terms outside {BP}: 1, first GO:0035195 (cellular_component)"
+    assert warned == ([expected] if moved else [])

@@ -53,6 +53,14 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+def same_outputs(a: Path, b: Path) -> None:
+    """Both runs wrote the same files with the same bytes, the manifest aside."""
+    names = sorted(f.name for f in a.iterdir() if f.name != "run_manifest.json")
+    assert names == sorted(f.name for f in b.iterdir() if f.name != "run_manifest.json")
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def pipeline_args(data: Path, out: Path, *extra: str) -> list[str]:
     return [
         "pipeline",
@@ -115,12 +123,14 @@ class TestSubcommandFlags:
             ["synth", "--k", "5"],
             ["distances", "--workers", "2"],
             ["tune-gamma", "--gamma", "0.5"],
-            ["cluster", "--seed", "3"],  # a prefix of --seeding, which cluster reads
+            ["cluster", "--gam", "0.5"],  # a prefix of --gamma, which cluster reads
             ["assign", "--k", "5"],
             ["enrich", "--metric", "pearson"],
             ["infer", "--similarity", "lin"],
             ["eval", "--alpha", "0.01"],
             ["pipeline", "--assign-distance", "raw"],  # follows from --balancing
+            ["pipeline", "--seeding", "literal"],  # removed: pam_build is the only build
+            ["tune-gamma", "--seeding", "pam_build"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -352,6 +362,40 @@ class TestPipeline:
         assert "ConfigError" in res.stderr
         assert "unknown option 'assign_distance'" in res.stderr
         assert not (tmp_path / "x").exists()
+
+    def test_manifest_from_before_seeding_was_removed(self, run_dir, tmp_path, capsys):
+        manifest = json.loads((run_dir / "run_manifest.json").read_text())
+        assert "seeding" not in manifest["config"]
+        # a manifest written while seeding was an option names the default
+        manifest["config"]["seeding"] = "pam_build"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        redo = tmp_path / "redo"
+        assert main(["pipeline", "--from-manifest", str(old), "--out-dir", str(redo)]) == 0
+        same_outputs(run_dir, redo)
+        manifest["config"]["seeding"] = "literal"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["pipeline", "--from-manifest", str(old), "--out-dir", str(tmp_path / "x")]) == 2
+        assert "seeding 'literal' was removed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "seeding, rc", [("pam_build", 0), ('"literal"', 2)], ids=["pam_build", "literal"]
+    )
+    def test_config_file_from_before_seeding_was_removed(
+        self, data_dir, run_dir, tmp_path, capsys, seeding, rc
+    ):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"seeding = {seeding}\n")
+        out = tmp_path / "run"
+        argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        assert main([*argv, "--config", str(cfg_file)]) == rc
+        if rc == 0:
+            same_outputs(run_dir, out)
+        else:
+            assert "seeding 'literal' was removed" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestStagedSubcommands:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from gofusion.clustering import (
-    LITERAL,
-    PAM_BUILD,
     Cluster,
     Partition,
     assign_b,
@@ -45,28 +43,10 @@ class TestSeedAndBuild:
         assert p.total_cost == 0.0
         assert sorted(cl.medoid for cl in p.clusters) == list(dm.genes)
 
-    def test_literal_scoring_hand_check(self):
-        # 5 points on a line; g2 uniquely minimizes the distance sum.  The
-        # literal score is S_i = sum_{j not medoid, j != i} (d(j, i) - nearest(j)).
-        dm = dm_from([0.0, 1.0, 2.0, 3.0, 10.0])
-        d = dm.d
-        meds = build_medoids(d, 2, seeding="literal")
-        assert meds[0] == 2
-        nearest = d[:, [2]].min(axis=1)
-        scores = {}
-        for i in range(5):
-            if i == 2:
-                continue
-            scores[i] = sum(
-                d[j, i] - nearest[j] for j in range(5) if j not in (2, i)
-            )
-        expected = max(sorted(scores), key=lambda i: scores[i])
-        assert meds[1] == expected
-
     def test_pam_build_prefers_cost_reduction(self):
         # two tight groups; pam_build's second medoid lands in the far group
         dm = dm_from([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])
-        meds = build_medoids(dm.d, 2, seeding="pam_build")
+        meds = build_medoids(dm.d, 2)
         assert {m // 3 for m in meds} == {0, 1}
 
     def test_tie_goes_to_smallest_index(self):
@@ -145,20 +125,24 @@ class TestOracle:
     versions in conftest return."""
 
     def test_same_medoids_as_reference(self):
+        """The swap starts from the built medoids and from two random sets;
+        the second set comes from its own generator, so the matrices and
+        the first set are drawn as before."""
         rng = np.random.default_rng(2019)
+        starts = np.random.default_rng(2119)
         for kind in ("uniform", "quantized", "points"):  # 600 matrices in all
             for _ in range(200):
                 n = int(rng.integers(2, 16))
                 d = oracle_matrix(rng, n, kind)
                 for k in sorted({1, n - 1, n, int(rng.integers(1, n + 1))}):
-                    for seeding in (PAM_BUILD, LITERAL):
-                        built = build_medoids(d, k, seeding)
-                        assert built == reference_build(d, k, seeding)
+                    built = build_medoids(d, k)
+                    assert built == reference_build(d, k)
+                    randoms = [rng.choice(n, size=k, replace=False),
+                               starts.choice(n, size=k, replace=False)]
+                    for start in (built, *(sorted(r.tolist()) for r in randoms)):
                         d_before = d.copy()
-                        assert swap_refine(d, built) == reference_swap(d, built)
+                        assert swap_refine(d, start) == reference_swap(d, start)
                         assert np.array_equal(d, d_before)
-                    start = sorted(rng.choice(n, size=k, replace=False).tolist())
-                    assert swap_refine(d, start) == reference_swap(d, start)
 
 
     def test_build_sums_over_all_rows_keep_the_bits(self):
@@ -188,8 +172,10 @@ class TestOracle:
     def test_same_medoids_with_signed_zeros(self):
         """-0.0 entries, the diagonal's included: a nearest distance can turn
         from 0.0 to -0.0, a change of bits but not of value, and the build
-        does not recompute that row's gains."""
+        does not recompute that row's gains.  The swap also starts from a
+        random set, drawn from its own generator."""
         rng = np.random.default_rng(2021)
+        starts = np.random.default_rng(2121)
         for kind in ("quantized", "points"):
             for _ in range(150):
                 n = int(rng.integers(2, 16))
@@ -198,10 +184,11 @@ class TestOracle:
                 d = mirrored(np.where(upper, -0.0, d)).d
                 assert np.signbit(d).any() or not upper.any()
                 for k in sorted({1, n - 1, n, int(rng.integers(1, n + 1))}):
-                    for seeding in (PAM_BUILD, LITERAL):
-                        built = build_medoids(d, k, seeding)
-                        assert built == reference_build(d, k, seeding)
-                        assert swap_refine(d, built) == reference_swap(d, built)
+                    built = build_medoids(d, k)
+                    assert built == reference_build(d, k)
+                    start = sorted(starts.choice(n, size=k, replace=False).tolist())
+                    for meds in (built, start):
+                        assert swap_refine(d, meds) == reference_swap(d, meds)
 
     def test_build_holds_one_gains_buffer(self):
         """``pam_build`` reuses one n x n buffer for its gains in every round."""
@@ -226,18 +213,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DistanceMatrix(("a", "b"), np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
-    def test_bad_seeding(self):
-        with pytest.raises(ConfigError):
-            cluster_a(dm_from([0.0, 1.0, 2.0]), k=2, seeding="random")
-
     @pytest.mark.parametrize("k", [0, 4])
     def test_build_k_out_of_range(self, k):
         with pytest.raises(ConfigError, match="out of range"):
             build_medoids(dm_from([0.0, 1.0, 2.0]).d, k)
-
-    def test_build_bad_seeding(self):
-        with pytest.raises(ConfigError, match="unknown seeding"):
-            build_medoids(dm_from([0.0, 1.0, 2.0]).d, 1, "bogus")
 
     def test_medoid_must_be_member(self):
         with pytest.raises(ValidationError):
