@@ -68,10 +68,13 @@ class AnnotationCorpus:
 
     direct: dict[GeneId, frozenset[TermId]]
     namespace: str
-    gene_universe_size: int
     prop_count: dict[TermId, int]
     ic: dict[TermId, float]
     diagnostics: LoadDiagnostics = field(default=LoadDiagnostics())
+
+    @property
+    def gene_universe_size(self) -> int:
+        return len(self.direct)
 
     def genes(self) -> list[GeneId]:
         return sorted(self.direct)
@@ -128,7 +131,6 @@ def build_corpus(
     return AnnotationCorpus(
         direct={g: frozenset(ts) for g, ts in direct.items()},
         namespace=namespace,
-        gene_universe_size=n,
         prop_count=prop,
         ic=ic,
         diagnostics=diags,

@@ -37,13 +37,14 @@ from . import __version__
 from .annotations import AnnotationCorpus, build_corpus, load_annotations
 from .clustering import (
     PAM_BUILD,
-    Cluster,
     Partition,
     assign_b,
     assigned_subpartition,
     cluster_a,
+    partition_cost,
     partition_metadata,
     read_partition_tsv,
+    with_members_b,
     write_partition_tsv,
 )
 from .enrichment import (
@@ -149,6 +150,8 @@ class PipelineConfig:
             raise ConfigError("gamma is only valid with balancing=fixed_gamma")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     def as_manifest_dict(self) -> dict:
         out: dict = {}
@@ -464,6 +467,13 @@ def _fuse(
     return gamma, d_gamma
 
 
+def _cluster(cfg: PipelineConfig, d_gamma: DistanceMatrix) -> tuple[Partition, float]:
+    """``cluster_a`` on ``d_gamma`` and the partition's cost there."""
+    part = cluster_a(d_gamma, cfg.k)
+    medoids = [d_gamma.index_of(cl.medoid) for cl in part.clusters]
+    return part, partition_cost(d_gamma.d, medoids)
+
+
 def _assign(
     cfg: PipelineConfig, part: Partition, expr_a: ExpressionMatrix, expr_b: ExpressionMatrix
 ) -> Partition:
@@ -536,12 +546,9 @@ def _score(
 ) -> None:
     """Set the BHI (over ``scope``), BC and semantic compactness (over ``d``)
     of ``p``.  Only the B genes ``d`` covers count; with none, no compactness."""
-    covered = set(d.genes)
-    p = Partition(
-        tuple(Cluster(cl.medoid, cl.members_a, cl.members_b & covered) for cl in p.clusters),
-        p.k,
-        p.total_cost,
-    )
+    b_labels = p.labels("b")
+    covered = [g for g in d.genes if g in b_labels]
+    p = with_members_b(p, covered, [b_labels[g] for g in covered])
     report.bhi = bhi(p, scope)
     report.bc = bc(p, d)
     if p.genes_b():
@@ -591,7 +598,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
     try:
         stage = "load"
         o, corpus, expr_a = _load_a(cfg, inputs)
-        manifest["ontology_digest"] = o.source_digest
+        manifest["ontology_digest"] = inputs["obo"]["sha256"]
         manifest["gene_universe_size"] = corpus.gene_universe_size
         expr_b = load_expression(_read(cfg, "expression_b", inputs))
         truth = _load_truth(cfg, o, inputs)
@@ -616,7 +623,7 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         end_stage("ok")
 
         stage = "cluster"
-        part = cluster_a(d_gamma, cfg.k)
+        part, total_cost = _cluster(cfg, d_gamma)
         del d_gamma
         end_stage("ok")
 
@@ -628,7 +635,8 @@ def run_pipeline(cfg: PipelineConfig) -> None:
             partition_metadata(
                 part,
                 gamma_used,
-                extra={"balancing": cfg.balancing, "ontology_digest": o.source_digest},
+                total_cost,
+                extra={"balancing": cfg.balancing, "ontology_digest": manifest["ontology_digest"]},
             ),
         )
         end_stage("ok")
@@ -694,12 +702,12 @@ def cmd_cluster(cfg: PipelineConfig) -> None:
     held_e = [read_distance_tsv(_read(cfg, "d_e"))]
     d_go = read_distance_tsv(_read(cfg, "d_go"))
     gamma_used, d_gamma = _fuse(cfg, held_e, d_go)
-    part = cluster_a(d_gamma, cfg.k)
+    part, total_cost = _cluster(cfg, d_gamma)
     _write(cfg.out_dir, "partition.tsv", write_partition_tsv(part))
     _write(
         cfg.out_dir,
         "cluster_meta.json",
-        partition_metadata(part, gamma_used, extra={"balancing": cfg.balancing}),
+        partition_metadata(part, gamma_used, total_cost, extra={"balancing": cfg.balancing}),
     )
 
 

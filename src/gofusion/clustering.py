@@ -44,11 +44,9 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered clusters partitioning the A genes, plus the swap cost."""
+    """Ordered clusters partitioning the A genes."""
 
     clusters: tuple[Cluster, ...]
-    k: int
-    total_cost: float
 
     def __post_init__(self):
         seen: set[GeneId] = set()
@@ -56,8 +54,6 @@ class Partition:
             if cl.members_a & seen:
                 raise ValidationError("a gene appears in two clusters")
             seen |= cl.members_a
-        if len(self.clusters) != self.k:
-            raise ValidationError(f"{len(self.clusters)} clusters != k={self.k}")
 
     def genes_a(self) -> set[GeneId]:
         return {g for cl in self.clusters for g in cl.members_a}
@@ -231,7 +227,7 @@ def _partition_from_medoids(dm: DistanceMatrix, medoids: list[int]) -> Partition
         Cluster(medoid=dm.genes[m], members_a=frozenset(members[ci]))
         for ci, m in enumerate(meds)
     )
-    return Partition(clusters, k=len(meds), total_cost=partition_cost(dm.d, meds))
+    return Partition(clusters)
 
 
 def assign_b(p: Partition, d_expr: DistanceMatrix) -> Partition:
@@ -259,13 +255,13 @@ def with_members_b(p: Partition, genes: list[GeneId], labels: list[int]) -> Part
         Cluster(cl.medoid, cl.members_a, frozenset(new_b[i]))
         for i, cl in enumerate(p.clusters)
     )
-    return Partition(clusters, p.k, p.total_cost)
+    return Partition(clusters)
 
 
 def assigned_subpartition(p: Partition) -> Partition:
     """Only the clusters that received at least one B gene."""
     kept = tuple(cl for cl in p.clusters if cl.members_b)
-    return Partition(kept, k=len(kept), total_cost=p.total_cost)
+    return Partition(kept)
 
 
 # -- serialization ------------------------------------------------------------
@@ -326,14 +322,14 @@ def read_partition_tsv(data: bytes | str) -> Partition:
         clusters.append(
             Cluster(medoids[idx], frozenset(mem_a[idx]), frozenset(mem_b[idx]))
         )
-    return Partition(tuple(clusters), k=n_clusters, total_cost=0.0)
+    return Partition(tuple(clusters))
 
 
-def partition_metadata(p: Partition, gamma: float | None, extra: dict) -> str:
+def partition_metadata(p: Partition, gamma: float | None, total_cost: float, extra: dict) -> str:
     meta = {
-        "k": p.k,
+        "k": len(p.clusters),
         "seeding": PAM_BUILD,
-        "total_cost": p.total_cost,
+        "total_cost": total_cost,
         "gamma": gamma,
         "cluster_sizes_a": [len(cl.members_a) for cl in p.clusters],
         "cluster_sizes_b": [len(cl.members_b) for cl in p.clusters],

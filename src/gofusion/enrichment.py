@@ -146,8 +146,7 @@ class InferredAnnotation:
 
     gene: GeneId
     terms: tuple[tuple[TermId, float], ...]
-    cluster_index: int
-    enriched: bool  # False flags a cluster with zero passing terms
+    cluster_index: int  # empty ``terms``: the cluster passed no term
 
 
 def _enrich_assigned(
@@ -172,12 +171,12 @@ def infer_functions(
 
     Inference is cluster-level: all B genes of a cluster receive the same
     ordered term list.  Clusters without B genes are skipped; clusters with
-    no passing term yield empty, flagged records.
+    no passing term yield records with no terms.
     """
     out: list[InferredAnnotation] = []
     for i, cl, records in _enrich_assigned(p, background, c, alpha, correction):
         terms = tuple((r.term, r.p_value) for r in records)
-        out.extend(InferredAnnotation(g, terms, i, bool(terms)) for g in sorted(cl.members_b))
+        out.extend(InferredAnnotation(g, terms, i) for g in sorted(cl.members_b))
     return out
 
 
@@ -226,8 +225,8 @@ def read_inferred_tsv(
     """The records of ``inferred.tsv``, one per gene, sorted by gene.
 
     ``b_clusters`` maps the partition's B genes to their clusters; a B gene
-    without rows (its cluster passed no term) gets an empty, unenriched
-    record, as ``infer_functions`` gives it, so recall scores it 0.
+    without rows (its cluster passed no term) gets a record with no terms,
+    as ``infer_functions`` gives it, so recall scores it 0.
     """
     per_gene: dict[GeneId, list[tuple[TermId, float]]] = {}
     cluster_of: dict[GeneId, int] = {}
@@ -246,7 +245,6 @@ def read_inferred_tsv(
             gene=g,
             terms=tuple(sorted(per_gene[g], key=lambda tp: (tp[1], tp[0]))),
             cluster_index=cluster_of[g],
-            enriched=bool(per_gene[g]),
         )
         for g in sorted(per_gene)
     ]

@@ -12,7 +12,7 @@ the other half back by expression, and scoring semantic compactness.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,24 +125,20 @@ class TuningReport:
 
     grid: tuple[float, ...]
     sc_runs: tuple[tuple[float, ...], ...]
-    sc_curve: tuple[float, ...]
-    best_gamma: float
     seed: int
     split: float
 
+    @property
+    def sc_curve(self) -> tuple[float, ...]:  # each gamma's mean over its runs
+        return tuple(float(np.mean(rs)) for rs in self.sc_runs)
+
+    @property
+    def best_gamma(self) -> float:  # ties go to the smallest gamma
+        return self.grid[int(np.argmin(self.sc_curve))]
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid": list(self.grid),
-                "sc_runs": [list(r) for r in self.sc_runs],
-                "sc_curve": list(self.sc_curve),
-                "best_gamma": self.best_gamma,
-                "seed": self.seed,
-                "split": self.split,
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        record = {**asdict(self), "sc_curve": self.sc_curve, "best_gamma": self.best_gamma}
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         # %.10g never writes a comma, quote or newline, so nothing is quoted
@@ -221,7 +217,7 @@ def tune_gamma(
         raise ConfigError(f"split must lie strictly between 0 and 1, got {split}")
     if runs < 1:
         raise ConfigError(f"runs must be positive, got {runs}")
-    if grid_step <= 0.0 or grid_step > 1.0:
+    if not 0.0 < grid_step <= 1.0:
         raise ConfigError(f"grid_step must lie in (0, 1], got {grid_step}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -261,13 +257,4 @@ def tune_gamma(
         tuple(cell(blended, g_idx, r) for r in range(runs))
         for g_idx, blended in enumerate(blends)
     )
-    sc_curve = tuple(float(np.mean(rs)) for rs in sc_runs)
-    best_gamma = grid[int(np.argmin(sc_curve))]
-    return TuningReport(
-        grid=grid,
-        sc_runs=sc_runs,
-        sc_curve=sc_curve,
-        best_gamma=best_gamma,
-        seed=seed,
-        split=split,
-    )
+    return TuningReport(grid=grid, sc_runs=sc_runs, seed=seed, split=split)

@@ -24,7 +24,6 @@ it occurs.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections.abc import Iterator
 from itertools import chain
@@ -85,13 +84,10 @@ class Ontology:
     before children; ``index`` and ``closure`` are described in the module
     docstring.  Child lists are built, for the parents only, to check the
     parent references and to order the terms, and are not kept.
-    ``source_digest`` is the SHA-256 of the parsed bytes and is carried into
-    all pipeline outputs, since results depend on the GO release used.
     """
 
-    def __init__(self, terms: dict[TermId, Term], source_digest: str = ""):
+    def __init__(self, terms: dict[TermId, Term]):
         self.terms = terms
-        self.source_digest = source_digest
         children: dict[TermId, list[TermId]] = {}
         indeg: dict[TermId, int] = {}
         parentless: dict[str, list[TermId]] = {}
@@ -256,7 +252,7 @@ def parse_obo(data: bytes | str) -> Ontology:
     """Parse OBO 1.2 flat text into an :class:`Ontology`.
 
     Accepts UTF-8 bytes or text with LF or CRLF endings; a byte-order mark
-    before the bytes is dropped, and ``source_digest`` still covers it.
+    before the bytes is dropped.
     Unknown stanzas and tags are skipped.
     Obsolete terms are retained with their parent edges dropped.
     Equal term ids and namespaces share one string object.
@@ -267,12 +263,7 @@ def parse_obo(data: bytes | str) -> Ontology:
     read: an error's line number comes from the lines before the block and
     what the block's iterator has left.
     """
-    if isinstance(data, bytes):
-        digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8-sig")
-    else:
-        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-        text = data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
 
     terms: dict[TermId, Term] = {}
     tags: dict[str, int] = {}  # the tags read in the current stanza
@@ -344,7 +335,7 @@ def parse_obo(data: bytes | str) -> Ontology:
                 cur_obsolete = value.strip() == "true"
         done += len(lines)
 
-    return Ontology(terms, source_digest=digest)
+    return Ontology(terms)
 
 
 def to_obo_text(o: Ontology) -> str:

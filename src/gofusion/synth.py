@@ -99,6 +99,19 @@ def make_dataset(
     """Build one seeded dataset; defaults give 200 genes in two families."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    # a gene takes two or three leaves of its subgroup's pool
+    for name, value, low in (("subgroups_per_family", subgroups_per_family, 1),
+                             ("genes_per_subgroup", genes_per_subgroup, 1),
+                             ("leaves_per_subgroup", leaves_per_subgroup, 2),
+                             ("conditions", conditions, 2)):
+        if value < low:
+            raise ConfigError(f"{name} must be at least {low}, got {value}")
+    if not 0.0 <= noise < np.inf:  # NaN fails too
+        raise ConfigError(f"noise must be finite and non-negative, got {noise}")
+    n_genes = 2 * subgroups_per_family * genes_per_subgroup  # at least 2 by now
+    if not (0.0 <= b_fraction <= 1.0 and round(b_fraction * n_genes) < n_genes):
+        raise ConfigError(f"b_fraction must lie in [0, 1] and leave at least one of "
+                          f"{n_genes} genes in A, got {b_fraction}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     n_subgroups = 2 * subgroups_per_family
     onto = _build_ontology(n_subgroups, leaves_per_subgroup)

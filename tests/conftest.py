@@ -197,7 +197,7 @@ def reference_centroid_assign(expr, part: Partition, held_out, metric: str) -> P
         Cluster(cl.medoid, cl.members_a, frozenset(assigned[i]))
         for i, cl in enumerate(part.clusters)
     )
-    return Partition(clusters, part.k, part.total_cost)
+    return Partition(clusters)
 
 
 def reference_term_table(o, c, terms, kind):

@@ -35,9 +35,7 @@ def tuning_cells(draw):
     genes = tuple(f"g{i:02d}" for i in range(n))
     order = draw(st.permutations(genes))
     members = [sorted(g for g, c in zip(order, labels) if c == ci) for ci in range(k)]
-    part = Partition(
-        tuple(Cluster(m[0], frozenset(m)) for m in members), k=k, total_cost=0.0
-    )
+    part = Partition(tuple(Cluster(m[0], frozenset(m)) for m in members))
     expr = ExpressionMatrix(genes, tuple(f"c{j}" for j in range(n_cond)),
                             np.reshape(values, (n, n_cond)))
     return expr, part, list(order[n_kept:])
@@ -85,7 +83,6 @@ def test_mean_adds_members_in_ascending_row_order():
     expr = ExpressionMatrix(genes, ("c1", "c2"), values)
     part = Partition(
         (Cluster("a", frozenset({"a"})), Cluster("b1", frozenset({"b1", "b2", "b3"}))),
-        k=2, total_cost=0.0,
     )
     assert _centroid_assign(expr, part, ["h"], "euclidean").labels("b") == {"h": 1}
     assert reference_centroid_assign(expr, part, ["h"], "euclidean").labels("b") == {"h": 1}

@@ -12,6 +12,7 @@ import pytest
 
 import gofusion
 from gofusion.annotations import load_annotations
+from gofusion.clustering import partition_cost
 from gofusion.cli import (
     _OWN_FLAGS,
     COMMANDS,
@@ -21,7 +22,10 @@ from gofusion.cli import (
     parse_config_text,
 )
 from gofusion.errors import ConfigError
+from gofusion.expression import expression_distance_matrix, load_expression, read_distance_tsv
+from gofusion.fusion import combine_gamma
 from gofusion.ontology import parse_obo
+from gofusion.semantic import semantic_distance_matrix
 from gofusion.synth import ROOT, make_dataset, write_dataset
 
 BP = "biological_process"
@@ -223,6 +227,30 @@ class TestSubcommandFlags:
         assert sorted(f.name for f in cli.iterdir()) == sorted(f.name for f in files.values())
         for f in files.values():
             assert (cli / f.name).read_bytes() == f.read_bytes(), f.name
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--b-fraction", "nan"), ("--b-fraction", "5"), ("--b-fraction", "1"),
+         ("--leaves-per-subgroup", "1"), ("--genes-per-subgroup", "0"),
+         ("--subgroups-per-family", "0"), ("--noise", "-1"), ("--noise", "nan"),
+         ("--conditions", "1")],
+    )
+    def test_bad_synth_size_is_config_error(self, tmp_path, flag, value):
+        """Each bad size is named, and nothing is written."""
+        res = run_cli("synth", "--seed", "1", "--out-dir", str(tmp_path / "out"), flag, value)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"error (ConfigError): {flag[2:].replace('-', '_')} must" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["-0.01", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_is_config_error(self, tmp_path, capsys, alpha):
+        """Every subcommand rejects the alpha before it looks for an input."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"alpha = {alpha}\n")
+        for command in COMMANDS:
+            assert main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 2
+            assert f"alpha must lie in [0, 1], got {float(alpha)}" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -470,6 +498,42 @@ class TestStagedSubcommands:
         evaluated = json.loads((tmp_path / "eval" / "metrics.json").read_text())["recall"]
         piped = json.loads((run / "metrics.json").read_text())["recall"]
         assert evaluated == pytest.approx(piped)
+
+    def test_cluster_meta_total_cost_is_partition_cost(self, data_dir, run_dir, tmp_path):
+        """``total_cost`` is the cost of the written medoids on the fused
+        distance, for a pipeline run (gamma 0.5) and a cluster run (0.8)."""
+        o = parse_obo((data_dir / "go.obo").read_bytes())
+        corpus = load_annotations((data_dir / "annotations.tsv").read_bytes(), o, BP)
+        expr = load_expression((data_dir / "expression_a.tsv").read_bytes())
+        d_e = expression_distance_matrix(expr, "euclidean")
+        d_go = semantic_distance_matrix(o, corpus, expr.genes, "relevance")
+        staged = [read_distance_tsv((run_dir / f"{n}.tsv").read_bytes()) for n in ("d_e", "d_go")]
+        out = tmp_path / "cluster"
+        assert main([
+            "cluster", "--d-e", str(run_dir / "d_e.tsv"), "--d-go", str(run_dir / "d_go.tsv"),
+            "--balancing", "fixed_gamma", "--gamma", "0.8", "--k", "12", "--out-dir", str(out),
+        ]) == 0
+        for run, d_gamma in ((run_dir, combine_gamma(d_e, d_go, 0.5)),
+                             (out, combine_gamma(*staged, 0.8))):
+            rows = (run / "partition.tsv").read_text().splitlines()[1:]
+            medoids = [d_gamma.index_of(r.split("\t")[0]) for r in rows if r.endswith("\tA\t1")]
+            meta = json.loads((run / "cluster_meta.json").read_text())
+            assert meta["k"] == len(medoids) == 12
+            assert meta["total_cost"] == partition_cost(d_gamma.d, medoids)
+
+    def test_ontology_digest_is_the_obo_file_digest(self, data_dir, tmp_path):
+        """Behind a byte-order mark too, the run's ontology digest is the
+        SHA-256 of the OBO file's bytes."""
+        obo = tmp_path / "go.obo"
+        obo.write_bytes(b"\xef\xbb\xbf" + (data_dir / "go.obo").read_bytes())
+        out = tmp_path / "run"
+        argv = pipeline_args(data_dir, out, "--balancing", "fixed_gamma", "--gamma", "0.5")
+        argv[argv.index("--obo") + 1] = str(obo)
+        assert main(argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        digest = sha256(obo.read_bytes()).hexdigest()
+        assert manifest["ontology_digest"] == manifest["inputs"]["obo"]["sha256"] == digest
+        assert json.loads((out / "cluster_meta.json").read_text())["ontology_digest"] == digest
 
     def test_tune_gamma_subcommand(self, data_dir, tmp_path):
         out = tmp_path / "tune"

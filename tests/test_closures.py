@@ -137,7 +137,7 @@ def reference_term_graph(inferred, truth, o):
 
 def as_inferred(direct):
     return [
-        InferredAnnotation(g, tuple((t, 0.01) for t in sorted(ts)), i, True)
+        InferredAnnotation(g, tuple((t, 0.01) for t in sorted(ts)), i)
         for i, (g, ts) in enumerate(sorted(direct.items()))
     ]
 

@@ -158,8 +158,6 @@ class TestInferFunctions:
                 Cluster("g0", frozenset({"g0", "g1", "g2"}), frozenset({"b0", "b1"})),
                 Cluster("g4", frozenset({"g4", "g5"}), frozenset({"b2"})),
             ),
-            k=2,
-            total_cost=0.0,
         )
 
     def test_same_cluster_same_terms(self, enrich_setup):
@@ -173,7 +171,6 @@ class TestInferFunctions:
         corpus, background = enrich_setup
         inferred = infer_functions(self.partition(), background, corpus, alpha=1e-9)
         assert all(r.terms == () for r in inferred)
-        assert all(not r.enriched for r in inferred)
 
     @pytest.mark.parametrize("alpha", [1.0, 1e-9], ids=["enriched", "nothing-passes"])
     def test_inferred_tsv_round_trip(self, enrich_setup, alpha):
@@ -183,8 +180,9 @@ class TestInferFunctions:
         text = write_inferred_tsv(inferred)
         back = read_inferred_tsv(text, part.labels("b"))
         assert write_inferred_tsv(back) == text
-        assert [(r.gene, r.cluster_index, r.enriched) for r in back] == [
-            (r.gene, r.cluster_index, r.enriched) for r in sorted(inferred, key=lambda r: r.gene)
+        assert [(r.gene, r.cluster_index, bool(r.terms)) for r in back] == [
+            (r.gene, r.cluster_index, bool(r.terms))
+            for r in sorted(inferred, key=lambda r: r.gene)
         ]
 
     def test_tsv_shapes(self, enrich_setup):
@@ -207,7 +205,7 @@ class TestTermGraph:
 
     def test_matching_term_styles(self, fixture_ontology):
         inferred = [
-            InferredAnnotation("b0", (("GO:0000003", 0.01),), 0, True)
+            InferredAnnotation("b0", (("GO:0000003", 0.01),), 0)
         ]
         truth = {"b0": frozenset({"GO:0000003"})}
         dot = export_term_graph(inferred, truth, fixture_ontology)
@@ -218,7 +216,7 @@ class TestTermGraph:
         assert '"GO:0000001"' in dot and '"GO:0008150"' in dot
 
     def test_truth_only_thick(self, fixture_ontology):
-        inferred = [InferredAnnotation("b0", (("GO:0000002", 0.01),), 0, True)]
+        inferred = [InferredAnnotation("b0", (("GO:0000002", 0.01),), 0)]
         truth = {"b0": frozenset({"GO:0000003"})}
         dot = export_term_graph(inferred, truth, fixture_ontology)
         truth_line = [l for l in dot.splitlines() if l.startswith('  "GO:0000003"')][0]
@@ -227,7 +225,7 @@ class TestTermGraph:
         assert "dashed" in inf_line
 
     def test_edges_match_dag_restriction(self, fixture_ontology):
-        inferred = [InferredAnnotation("b0", (("GO:0000003", 0.01),), 0, True)]
+        inferred = [InferredAnnotation("b0", (("GO:0000003", 0.01),), 0)]
         dot = export_term_graph(inferred, None, fixture_ontology)
         edges = {l.strip() for l in dot.splitlines() if "->" in l}
         assert edges == {
@@ -236,7 +234,7 @@ class TestTermGraph:
         }
 
     def test_unknown_term_rejected(self, fixture_ontology):
-        inferred = [InferredAnnotation("b0", (("GO:7654321", 0.01),), 0, True)]
+        inferred = [InferredAnnotation("b0", (("GO:7654321", 0.01),), 0)]
         with pytest.raises(UnknownIdError):
             export_term_graph(inferred, None, fixture_ontology)
 
@@ -281,7 +279,7 @@ class TestBackgroundCounts:
                 clusters.append(Cluster(min(members), members, b))
         # background genes without annotations are counted as such
         background = set(genes) | {"unannotated0", "unannotated1"}
-        return Partition(tuple(clusters), len(clusters), 0.0), background, corpus
+        return Partition(tuple(clusters)), background, corpus
 
     @pytest.mark.parametrize("correction", ["none", "benjamini_hochberg"])
     def test_records_equal_recounting_reference(self, synth_case, correction):

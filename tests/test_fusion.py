@@ -246,6 +246,8 @@ class TestTuneGamma:
             tune_gamma(*inputs, k=3, split=1.0, seed=1)
         with pytest.raises(ConfigError):
             tune_gamma(*inputs, k=3, grid_step=0.3, seed=1)
+        with pytest.raises(ConfigError, match="grid_step must lie in"):
+            tune_gamma(*inputs, k=3, grid_step=float("nan"), seed=1)
         with pytest.raises(ConfigError):
             tune_gamma(*inputs, k=200, seed=1)
         expr, d_e, d_go = inputs
@@ -270,8 +272,7 @@ def test_report_csv_same_bytes_as_csv_writer():
     and a value just under a rounding tie."""
     values = (0.0, float("nan"), -0.0, 1e-05, 0.99999999995, 0.25, 1.0)
     report = TuningReport(
-        grid=values, sc_runs=((0.5,),) * len(values), sc_curve=values[::-1],
-        best_gamma=0.0, seed=1, split=0.5,
+        grid=values, sc_runs=tuple((v,) for v in values[::-1]), seed=1, split=0.5
     )
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -340,9 +341,7 @@ class TestCentroidAssign:
     @staticmethod
     def partition(clusters):
         return Partition(
-            tuple(Cluster(members[0], frozenset(members)) for members in clusters),
-            k=len(clusters),
-            total_cost=0.0,
+            tuple(Cluster(members[0], frozenset(members)) for members in clusters)
         )
 
     @pytest.mark.parametrize("metric", ["euclidean", "pearson"])

@@ -26,7 +26,7 @@ from conftest import BP
 
 
 def part(*clusters):
-    return Partition(tuple(clusters), k=len(clusters), total_cost=0.0)
+    return Partition(tuple(clusters))
 
 
 def toy_distance(values: dict[tuple[str, str], float], genes: tuple[str, ...]):
@@ -218,7 +218,7 @@ class TestFowlkesMallows:
 
 class TestRecall:
     def rec(self, gene, terms):
-        return InferredAnnotation(gene, tuple((t, 0.01) for t in terms), 0, bool(terms))
+        return InferredAnnotation(gene, tuple((t, 0.01) for t in terms), 0)
 
     def test_half_recovered(self):
         r = self.rec("g", ["GO:0000001", "GO:0000002"])

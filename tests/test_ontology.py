@@ -1,4 +1,3 @@
-import hashlib
 import re
 from collections import deque
 from itertools import chain
@@ -149,7 +148,6 @@ def test_part_of_edges_and_is_a_filter():
 def test_crlf_and_bytes_input():
     o = parse_obo(FIXTURE_OBO.replace("\n", "\r\n").encode("utf-8"))
     assert len(o.topo_order) == 4
-    assert o.source_digest
 
 
 def test_is_a_comment_stripped():
@@ -255,18 +253,12 @@ def test_byte_order_mark_dropped(mark):
     o = parse_obo(data)
     assert sorted(o.terms) == ["GO:0000001", "GO:0008150"]
     assert o.ancestors("GO:0000001") == frozenset({"GO:0000001", "GO:0008150"})
-    assert o.source_digest == hashlib.sha256(data).hexdigest()
 
 
 def reference_parse_obo(data):
     """``parse_obo`` as written before its tag table: every value stripped,
     an if-chain over the tag names and a stanza flushed by a closure."""
-    if isinstance(data, bytes):
-        digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8-sig")
-    else:
-        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-        text = data
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
 
     terms = {}
     in_term = False
@@ -336,7 +328,7 @@ def reference_parse_obo(data):
     )
     if dangling:
         raise ValidationError(f"parent references to unknown terms: {dangling}")
-    return Ontology(terms, source_digest=digest)
+    return Ontology(terms)
 
 
 def parse_outcome(parse, data):
@@ -345,7 +337,7 @@ def parse_outcome(parse, data):
         o = parse(data)
     except GofusionError as e:
         return type(e), str(e), getattr(e, "line", None)
-    return o.terms, o.topo_order, o.index, o.roots, o.source_digest
+    return o.terms, o.topo_order, o.index, o.roots
 
 
 def damaged(text: str, rng) -> str:
@@ -417,13 +409,8 @@ def line_loop_parse_obo(data):
     """``parse_obo`` as written before it split lines as they stand: each
     line numbered by ``enumerate`` and stripped, then split at its first
     ``:``, and the terms ordered by ``line_loop_order``.  Returns the
-    ontology's parts: terms, topo_order, index, roots and source_digest."""
-    if isinstance(data, bytes):
-        digest = hashlib.sha256(data).hexdigest()
-        text = data.decode("utf-8-sig")
-    else:
-        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-        text = data
+    ontology's parts: terms, topo_order, index and roots."""
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
 
     tags = {"id": 0, "name": 1, "namespace": 2, "is_a": 3, "relationship": 4, "is_obsolete": 5}
     terms = {}
@@ -485,9 +472,7 @@ def line_loop_parse_obo(data):
     if dangling:
         raise ValidationError(f"parent references to unknown terms: {dangling}")
     order, index, roots = line_loop_order(terms)
-    return SimpleNamespace(
-        terms=terms, topo_order=order, index=index, roots=roots, source_digest=digest
-    )
+    return SimpleNamespace(terms=terms, topo_order=order, index=index, roots=roots)
 
 
 def line_loop_order(terms):

@@ -52,7 +52,7 @@ def partitions(draw) -> Partition:
     clusters = tuple(
         Cluster(m, frozenset(a), frozenset(b)) for m, (a, b) in zip(genes[:k], members)
     )
-    return Partition(clusters, k, 0.0)
+    return Partition(clusters)
 
 
 # one line of OBO text: no line breaks, no edge whitespace, which the parser strips
@@ -98,7 +98,7 @@ def test_distance_tsv_round_trip(dm):
 @settings(deadline=None)
 @given(partitions())
 # a gene named like the header's first column is still a gene
-@example(Partition((Cluster("gene_id", frozenset({"gene_id", "x"})),), 1, 0.0))
+@example(Partition((Cluster("gene_id", frozenset({"gene_id", "x"})),)))
 def test_partition_tsv_round_trip(p):
     text = write_partition_tsv(p)
     assert read_partition_tsv(text) == p

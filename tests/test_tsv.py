@@ -113,7 +113,6 @@ class TestInferred:
         text = INFERRED_HEADER + "gene_id\tGO:0000003\t0.01\t0\n"
         (rec,) = read_inferred_tsv(text, {"gene_id": 0})
         assert rec.terms == (("GO:0000003", 0.01),)
-        assert rec.enriched
 
     def test_bad_field_is_parse_error_with_line(self):
         with pytest.raises(ParseError, match="bad p-value 'x'") as err:
