@@ -10,8 +10,8 @@ and tool versions, which is sufficient to reproduce the run byte for byte
 (``pipeline --from-manifest``), and the ``LoadDiagnostics`` of each
 annotation file it read (``inputs.annotations.diagnostics``, and
 ``inputs.truth.diagnostics`` with ``--truth``), also when a later stage
-fails.  Exit codes: 0 ok, 2 config error, 3 data error, 4
-numeric/degenerate error.
+fails.  Exit codes: 0 ok, 1 out of memory, 2 config error, 3 data error,
+4 numeric/degenerate error.
 """
 
 from __future__ import annotations
@@ -152,6 +152,14 @@ class PipelineConfig:
             raise ConfigError("workers must be at least 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.m < 2:
+            raise ConfigError(f"m must be at least 2, got {self.m}")
+        # tune_gamma needs two clusters or more
+        least_k = 2 if self.balancing == "gamma_tuning" else 1
+        if self.k is not None and self.k < least_k:
+            raise ConfigError(
+                f"k must be at least {least_k} with balancing={self.balancing}, got {self.k}"
+            )
 
     def as_manifest_dict(self) -> dict:
         out: dict = {}
@@ -382,6 +390,14 @@ _RSS_PER_MB = 1024 * 1024 if sys.platform == "darwin" else 1024
 def _peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MB."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / _RSS_PER_MB
+
+
+def _described(e: GofusionError | MemoryError) -> tuple[str, str]:
+    """The name and message an error is reported with; an allocation failure
+    is a MemoryError, whichever subclass numpy raises, and may have no message."""
+    if isinstance(e, MemoryError):
+        return "MemoryError", str(e) or "out of memory"
+    return type(e).__name__, str(e)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -615,6 +631,8 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         held_e = [d_e]
         del d_e  # the later stages read d_go, d_gamma and the expression only
         gamma_used, d_gamma = _fuse(cfg, held_e, d_go, tuned)
+        if truth is not None:
+            del d_go  # the metrics stage scores on the merged corpus's own matrix
         manifest["balancing"] = {
             "mode": cfg.balancing,
             "gamma_used": gamma_used,
@@ -648,8 +666,9 @@ def run_pipeline(cfg: PipelineConfig) -> None:
 
         stage = "metrics"
         report = MetricReport()
-        scope, d_scored = corpus, d_go
-        if truth is not None:
+        if truth is None:
+            scope, d_scored = corpus, d_go
+        else:
             scope = _merged_corpus(corpus, truth, o, cfg.namespace)
             genes = list(expr_a.genes) + [g for g in expr_b.genes if g in scope.direct]
             d_scored = semantic_distance_matrix(o, scope, genes, cfg.similarity)
@@ -658,9 +677,10 @@ def run_pipeline(cfg: PipelineConfig) -> None:
         _write(out, "metrics.json", report.to_json())
         end_stage("ok")
         finish_manifest()
-    except GofusionError as e:
+    except (GofusionError, MemoryError) as e:
         end_stage("failed")
-        record = {"stage": stage, "error": type(e).__name__, "message": str(e)}
+        name, message = _described(e)
+        record = {"stage": stage, "error": name, "message": message}
         with suppress(ConfigError):  # an out_dir that takes no file keeps no record
             _write(out, "error.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
             finish_manifest()
@@ -746,13 +766,14 @@ def cmd_eval(cfg: PipelineConfig) -> None:
 
 # -- argument parsing ----------------------------------------------------------
 
-# synth passes on only the sizes given, so make_dataset alone holds their defaults
-_SYNTH_SIZES = ("subgroups_per_family", "genes_per_subgroup", "leaves_per_subgroup",
-                "conditions", "noise", "b_fraction")
+# synth takes make_dataset's parameters but the seed as flags of their defaults'
+# types, and passes on only the sizes given, so make_dataset alone holds the defaults
+_SYNTH_PARAMETERS = signature(make_dataset).parameters
+_SYNTH_SIZES = tuple(k for k in _SYNTH_PARAMETERS if k != "seed")
 # add_argument keywords of the flags that are not PipelineConfig options
 _OWN_FLAGS = {
     "from_manifest": {"help": "re-run from a run_manifest.json"},
-    **{k: {"type": type(signature(make_dataset).parameters[k].default)} for k in _SYNTH_SIZES},
+    **{k: {"type": type(_SYNTH_PARAMETERS[k].default)} for k in _SYNTH_SIZES},
 }
 # what _load_a and _load_partition_inputs read
 _LOAD_A = ("obo", "annotations", "expression_a", "namespace", "evidence_exclude")
@@ -812,9 +833,9 @@ def main(argv: list[str] | None = None) -> int:
     sizes = {k: v for k in _SYNTH_SIZES if (v := getattr(args, k, None)) is not None}
     try:
         args.run(build_config(args), **sizes)
-    except GofusionError as e:
-        print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return e.exit_code
+    except (GofusionError, MemoryError) as e:
+        print("error ({}): {}".format(*_described(e)), file=sys.stderr)
+        return e.exit_code if isinstance(e, GofusionError) else 1
     return 0
 
 

@@ -13,6 +13,7 @@ received B genes, through one loop and against one count of the background.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -83,11 +84,8 @@ class EnrichmentRecord:
 
 def background_counts(background: set[GeneId], c: AnnotationCorpus) -> dict[TermId, int]:
     """How many genes of ``background`` each term annotates directly."""
-    counts: dict[TermId, int] = {}
-    for g in background:
-        for t in c.direct.get(g, ()):  # background genes may lack annotations
-            counts[t] = counts.get(t, 0) + 1
-    return counts
+    # background genes may lack annotations
+    return Counter(t for g in background for t in c.direct.get(g, ()))
 
 
 def enrich_cluster(
@@ -117,10 +115,7 @@ def enrich_cluster(
         bg_counts = background_counts(background, c)
     n = len(members)
     N = len(background)
-    cluster_counts: dict[TermId, int] = {}
-    for g in members:
-        for t in c.direct_terms(g):
-            cluster_counts[t] = cluster_counts.get(t, 0) + 1
+    cluster_counts = Counter(t for g in members for t in c.direct_terms(g))
     terms = sorted(cluster_counts)
     raw = [hypergeom_tail(N, bg_counts[t], n, cluster_counts[t]) for t in terms]
     final = benjamini_hochberg(raw) if correction == CORRECTION_BH else raw

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: config errors exit 2, data errors
-exit 3, numeric/degenerate errors exit 4.
+exit 3, numeric/degenerate errors exit 4, and a MemoryError exits 1.
 """
 
 from __future__ import annotations

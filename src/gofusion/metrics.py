@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -114,18 +115,10 @@ def fowlkes_mallows(
     n = len(genes)
     if n < 2:
         raise AlignmentError("need at least 2 genes")
-    cont: dict[tuple[int, int], int] = {}
-    for g in genes:
-        key = (cp[g], cq[g])
-        cont[key] = cont.get(key, 0) + 1
+    cont = Counter((cp[g], cq[g]) for g in genes)
     t = sum(v * v for v in cont.values()) - n
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for (i, j), v in cont.items():
-        rows[i] = rows.get(i, 0) + v
-        cols[j] = cols.get(j, 0) + v
-    pk = sum(v * v for v in rows.values()) - n
-    qk = sum(v * v for v in cols.values()) - n
+    pk = sum(v * v for v in Counter(cp[g] for g in genes).values()) - n
+    qk = sum(v * v for v in Counter(cq[g] for g in genes).values()) - n
     if pk == 0 or qk == 0:
         return FowlkesMallows(0.0, True)
     return FowlkesMallows(t / math.sqrt(pk * qk), False)
@@ -170,10 +163,7 @@ def label_counts(
     this list above a count threshold is the usual exclusion set for
     bias-corrected recall.
     """
-    counts: dict[TermId, int] = {}
-    for g in sorted(genes):
-        for t in c.direct_terms(g):
-            counts[t] = counts.get(t, 0) + 1
+    counts = Counter(t for g in sorted(genes) for t in c.direct_terms(g))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [
         (t, o.terms[t].name if o and t in o.terms else "", n) for t, n in ordered
@@ -189,7 +179,7 @@ def popular_terms(
 
 @dataclass
 class MetricReport:
-    """Bag of evaluation numbers serialized with fixed JSON keys."""
+    """Bag of evaluation numbers serialized with one JSON key per field."""
 
     sc: float | None = None
     bhi: float | None = None
@@ -205,13 +195,5 @@ class MetricReport:
                 return None
             return v
 
-        payload = {
-            "sc": clean(self.sc),
-            "bhi": clean(self.bhi),
-            "bc": clean(self.bc),
-            "fm": clean(self.fm),
-            "recall": clean(self.recall),
-            "recall_no_popular": clean(self.recall_no_popular),
-            "popular_labels": [[t, n] for t, n in self.popular_labels],
-        }
+        payload = {k: clean(v) for k, v in asdict(self).items()}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gofusion
+from gofusion import cli
 from gofusion.annotations import load_annotations
 from gofusion.clustering import partition_cost
 from gofusion.cli import (
@@ -251,6 +252,38 @@ class TestSubcommandFlags:
         for command in COMMANDS:
             assert main([command, "--config", str(cfg_file), "--out-dir", str(tmp_path)]) == 2
             assert f"alpha must lie in [0, 1], got {float(alpha)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("pipeline", ["--balancing", "percentile", "--m", "0", "--k", "5"],
+             "m must be at least 2, got 0"),
+            ("pipeline", ["--balancing", "percentile", "--m", "1"], "m must be at least 2, got 1"),
+            ("pipeline", ["--balancing", "gamma_tuning", "--k", "1"],
+             "k must be at least 2 with balancing=gamma_tuning, got 1"),
+            ("pipeline", ["--balancing", "fixed_gamma", "--gamma", "0.5", "--k", "0"],
+             "k must be at least 1 with balancing=fixed_gamma, got 0"),
+            ("pipeline", ["--balancing", "fixed_gamma", "--gamma", "0.5", "--k", "-3"],
+             "k must be at least 1 with balancing=fixed_gamma, got -3"),
+            ("cluster", ["--balancing", "percentile", "--k", "0"],
+             "k must be at least 1 with balancing=percentile, got 0"),
+        ],
+        ids=["m-0", "m-1", "tuning-k-1", "k-0", "k-negative", "cluster-k-0"],
+    )
+    def test_bad_m_or_k_is_config_error_before_any_input_is_read(
+        self, data_dir, run_dir, tmp_path, command, extra, message
+    ):
+        out = tmp_path / "out"
+        if command == "pipeline":
+            argv = pipeline_args(data_dir, out, *extra)  # the last --k wins
+        else:
+            argv = ["cluster", "--d-e", str(run_dir / "d_e.tsv"),
+                    "--d-go", str(run_dir / "d_go.tsv"), "--out-dir", str(out), *extra]
+        res = run_cli(*argv)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"error (ConfigError): {message}" in res.stderr
+        assert not list(out.glob("d_*.tsv"))
 
 
 class TestPipeline:
@@ -600,6 +633,98 @@ class TestExitCodes:
         assert rc == 2
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "cluster"
+
+    @pytest.mark.parametrize("command", ["pipeline", "cluster"])
+    @pytest.mark.parametrize(
+        "error, shown",
+        [
+            (MemoryError("Unable to allocate 66.4 MiB"), "Unable to allocate 66.4 MiB"),
+            (type("_ArrayMemoryError", (MemoryError,), {})("no room"), "no room"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["message", "subclass", "no-message"],
+    )
+    def test_out_of_memory_exits_1_and_names_the_stage(
+        self, data_dir, run_dir, tmp_path, monkeypatch, capsys, command, error, shown
+    ):
+        def exhausted(*_args):
+            raise error
+
+        monkeypatch.setattr(cli, "percentile_equalize", exhausted)
+        out = tmp_path / "out"
+        if command == "pipeline":
+            argv = pipeline_args(data_dir, out, "--balancing", "percentile")
+        else:
+            argv = ["cluster", "--d-e", str(run_dir / "d_e.tsv"), "--d-go",
+                    str(run_dir / "d_go.tsv"), "--balancing", "percentile", "--k", "12",
+                    "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error (MemoryError): {shown}\n"
+        if command == "pipeline":
+            record = json.loads((out / "error.json").read_text())
+            assert record == {"stage": "balancing", "error": "MemoryError", "message": shown}
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["stages"] == {"load": "ok", "distances": "ok", "balancing": "failed"}
+            assert sorted(manifest["profile"]) == sorted(manifest["stages"])
+
+    @pytest.mark.parametrize(
+        "command, flag, bad, code, message",
+        [
+            ("pipeline", "--metric", "bogus", 2, "metric must be one of"),
+            ("pipeline", "--workers", "0", 2, "workers must be at least 1"),
+            ("pipeline", "--config", "k 12\n", 2, "config line 1: expected key = value, got 'k 12'"),
+            ("cluster", "--balancing", "gamma_tuning", 2,
+             "cluster works with balancing=percentile or fixed_gamma"),
+            ("assign", "--expression-b", "expression_a", 3, "B genes overlap A genes"),
+            ("enrich", "--partition", "gene_id\tcluster_index\torigin\tis_medoid\ng1\tx\tA\t1\n",
+             3, "line 2: bad cluster index 'x'"),
+            ("enrich", "--partition", "g1\t0\tA\t1\ng2\t0\tA\t1\n", 3, "cluster 0 has two medoids"),
+            ("distances", "--expression-a", "gene_id\tc1\tc2\ng1\tnan\t1\n", 3,
+             "expression matrix contains non-finite values"),
+            ("cluster", "--d-e", "gene_id\ta\ta\na\t0\t1\na\t1\t0\n", 3,
+             "duplicate gene ids in distance matrix"),
+            ("distances", "--expression-a", "gene_id\tc1\tc2\n\t1\t2\n", 3, "line 2: empty gene_id"),
+            ("distances", "--annotations",
+             f"gene_id\tterm_id\tevidence\tnamespace\n\t{ROOT}\tIDA\t{BP}\n", 3,
+             "line 2: empty gene_id"),
+        ],
+        ids=["unknown-metric", "no-workers", "config-line-without-equals",
+             "cluster-gamma-tuning", "b-overlaps-a", "cluster-index-x", "two-medoids",
+             "nan-expression", "duplicate-distance-gene", "empty-expression-gene",
+             "empty-annotation-gene"],
+    )
+    def test_error_exit_code_and_message(
+        self, data_dir, run_dir, tmp_path, command, flag, bad, code, message
+    ):
+        out = tmp_path / "out"
+        ann = ["--obo", str(data_dir / "go.obo"), "--annotations", str(data_dir / "annotations.tsv")]
+        expr = ["--expression-a", str(data_dir / "expression_a.tsv"), "--out-dir", str(out)]
+        argv = {
+            "pipeline": pipeline_args(data_dir, out),
+            "cluster": ["cluster", "--d-e", str(run_dir / "d_e.tsv"), "--d-go",
+                        str(run_dir / "d_go.tsv"), "--balancing", "percentile", "--k", "2",
+                        "--out-dir", str(out)],
+            "assign": ["assign", *expr, "--expression-b", str(data_dir / "expression_b.tsv"),
+                       "--partition", str(run_dir / "partition.tsv")],
+            "enrich": ["enrich", *ann, "--partition", str(run_dir / "partition.tsv"),
+                       "--out-dir", str(out)],
+            "distances": ["distances", *ann, *expr],
+        }[command]
+        if flag in ("--metric", "--workers", "--balancing"):
+            value = bad
+        elif bad == "expression_a":
+            value = str(data_dir / "expression_a.tsv")
+        else:
+            (tmp_path / "bad").write_text(bad)
+            value = str(tmp_path / "bad")
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        res = run_cli(*argv)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert message in res.stderr
 
     @pytest.mark.parametrize(
         "flag, content",
